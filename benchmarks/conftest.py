@@ -49,7 +49,7 @@ def record_bench(
     """Persist machine-readable results as ``results/BENCH_<name>.json``.
 
     The emitted file is what CI uploads as an artifact and what
-    ``tools/bench_check.py`` gates against ``benchmarks/baseline/``.
+    ``repro.tools.bench_check`` gates against ``benchmarks/baseline/``.
     """
     path = write_bench(name, metrics, RESULTS_DIR, meta=meta)
     print(f"\n[bench] wrote {path}")

@@ -10,7 +10,7 @@ end to end throughout.  The convergence oracle (full mode for proactive
 OLSR, sound mode with the traffic pair for reactive DYMO/AODV) measures
 how long each disruption takes to recover from, in **simulated seconds**
 — deterministic for a fixed seed, so the metrics are gated at the normal
-25% band by ``tools/bench_check.py`` against ``benchmarks/baseline/``.
+25% band by ``repro.tools.bench_check`` against ``benchmarks/baseline/``.
 """
 
 from __future__ import annotations

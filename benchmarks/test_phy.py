@@ -8,7 +8,7 @@ Two obligations, per the medium-model contract (docs/phy.md):
   profile — the whole point of the PHY axis is that results depend on
   the parameter set — and the same seed + profile must reproduce the
   full result dict exactly.  The ratios are gated against
-  ``benchmarks/baseline/BENCH_phy.json`` (``tools/bench_check.py
+  ``benchmarks/baseline/BENCH_phy.json`` (``python -m repro.tools.bench_check
   --tolerance 0.10 --only phy``); being deterministic, they cannot
   drift on runner speed.
 

@@ -1,7 +1,7 @@
 """Profiler smoke tier — attribution quality, determinism, overhead.
 
 Emits ``results/BENCH_profile.json``, gated against
-``benchmarks/baseline/BENCH_profile.json`` by ``tools/bench_check.py
+``benchmarks/baseline/BENCH_profile.json`` by ``python -m repro.tools.bench_check
 --tolerance 0.10 --only profile``.  Three obligations:
 
 * **Attribution is honest and high.**  On the 60-node OLSR grid the

@@ -3,7 +3,7 @@
 Two tiers, mirroring the scale ladder:
 
 * **smoke** (per-PR CI): the 12-node smoke battery; emits
-  ``BENCH_reconfig.json``, gated at 10% by ``tools/bench_check.py
+  ``BENCH_reconfig.json``, gated at 10% by ``python -m repro.tools.bench_check
   --only reconfig``.
 * **200-node standard battery** (nightly / local): the acceptance
   configuration — every ordered protocol pair once on the 20x10 grid

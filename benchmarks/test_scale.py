@@ -16,7 +16,7 @@ MPR reselection, interned decode):
 
 All gated metrics are **deterministic** quantities (event counts, frame
 counts, hit ratios for a fixed seed), so CI holds them to a tight band —
-``tools/bench_check.py --tolerance 0.10 --only scale`` — without flaking
+``python -m repro.tools.bench_check --tolerance 0.10 --only scale`` — without flaking
 on runner speed.  Wall-clock is emitted ``info``-grade only.
 
 The **ladder rungs** (500 and 1000 nodes) are too slow for per-PR CI; the

@@ -8,7 +8,7 @@ synchronisation must be invisible), and emits ``BENCH_shard.json``.
 
 Gated metrics are **deterministic** (frame/epoch/boundary counts and the
 equivalence bit for a fixed seed) so CI holds them to a tight band —
-``tools/bench_check.py --tolerance 0.10 --only shard`` — without flaking
+``python -m repro.tools.bench_check --tolerance 0.10 --only shard`` — without flaking
 on runner speed.  Wall-clock and speedup are emitted ``info``-grade; the
 ≥2x speedup claim is asserted only when the runner actually has ≥4 cores
 (single-core CI containers time-slice the workers and would measure pure

@@ -4,7 +4,7 @@ Selected with ``pytest benchmarks -k smoke``; finishes in well under a
 minute and emits ``results/BENCH_smoke.json`` through the ``repro.obs``
 bench emitter.  The gated metrics are **deterministic** quantities
 (simulated-time delays, frame/byte/event counts — identical on every
-machine for a given seed), so ``tools/bench_check.py`` can hold them to a
+machine for a given seed), so ``repro.tools.bench_check`` can hold them to a
 25% band against ``benchmarks/baseline/`` without flaking on runner
 speed.  Raw wall-clock timings are emitted as ``info`` metrics: recorded
 and uploaded, never gated.

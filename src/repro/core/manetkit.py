@@ -257,9 +257,9 @@ class ManetKit(ComponentFramework):
         if self.crashed:
             return
         self.crashed = True
-        obs = self.obs
-        if obs is not None and obs.tracer is not None and obs.tracer.enabled:
-            obs.tracer.event(
+        probe = None if self.obs is None else self.obs.probe
+        if probe is not None:
+            probe.event(
                 "kit.crash", node=self.node.node_id,
                 protocols=[p.name for p in self.protocols()],
             )

@@ -25,46 +25,12 @@ from repro.core.manet_protocol import ManetProtocol
 from repro.core.unit import CFSUnit
 from repro.errors import ReconfigurationError
 from repro.events.registry import EventTuple
+from repro.obs.probe import NULL_SPAN
 from repro.opencom.component import Component
 from repro.opencom.quiescence import QuiescenceManager, TransactionStep
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manetkit import ManetKit
-
-
-class _NullSpan:
-    """Context manager used when tracing is off; cost: one ``with``."""
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _ProfiledSpan:
-    """Composes a profiler frame with an (optional) trace span."""
-
-    __slots__ = ("profiler", "name", "inner")
-
-    def __init__(self, profiler: Any, name: str, inner: Any) -> None:
-        self.profiler = profiler
-        self.name = name
-        self.inner = inner
-
-    def __enter__(self) -> "_ProfiledSpan":
-        self.profiler.push(self.name)
-        self.inner.__enter__()
-        return self
-
-    def __exit__(self, *exc_info: object) -> Any:
-        try:
-            return self.inner.__exit__(*exc_info)
-        finally:
-            self.profiler.pop()
 
 
 def _canonical_encode(value: Any) -> str:
@@ -112,17 +78,11 @@ class ReconfigurationManager:
         """A trace span + profiler frame for one enactment (no-op when
         both tracing and profiling are off)."""
         obs = getattr(self.deployment, "obs", None)
-        if obs is None:
-            return _NULL_SPAN
-        if obs.tracer is not None and obs.tracer.enabled:
-            attrs.setdefault("node", self._node_id())
-            span = obs.tracer.span(name, **attrs)
-        else:
-            span = _NULL_SPAN
-        profiler = obs.profiler
-        if profiler is not None:
-            return _ProfiledSpan(profiler, name, span)
-        return span
+        probe = None if obs is None else obs.probe
+        if probe is None:
+            return NULL_SPAN
+        attrs.setdefault("node", self._node_id())
+        return probe.span(name, **attrs)
 
     # -- method 1: declarative tuple rewiring ---------------------------------
 
@@ -240,9 +200,9 @@ class ReconfigurationManager:
         obs.registry.counter(
             "reconfig.state_transfer_bytes", node=self._node_id()
         ).inc(size)
-        tracer = obs.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.event(
+        probe = obs.probe
+        if probe is not None:
+            probe.event(
                 "reconfig.state_transfer", node=self._node_id(),
                 old=old_name, new=new_name, bytes=size,
             )

@@ -175,9 +175,10 @@ class SysForward(Component):
         self.messages_sent += len(messages)
         msg_label = None
         obs = getattr(self.node, "obs", None)
-        if obs is not None and obs.tracer is not None and obs.tracer.enabled:
+        probe = None if obs is None else obs.probe
+        if probe is not None and probe.tracing:
             # Human-readable message label for the transmit trace record
-            # (trace-only work; the disabled path stops at the obs check).
+            # (trace-only work; the disabled path stops at the probe check).
             try:
                 msg_label = MsgType(message.msg_type).name
             except ValueError:
@@ -203,9 +204,9 @@ class SysForward(Component):
                 obs.registry.counter(
                     "wire.malformed_packets", node=self.node.node_id
                 ).inc()
-                tracer = obs.tracer
-                if tracer is not None and tracer.enabled:
-                    tracer.event(
+                probe = obs.probe
+                if probe is not None:
+                    probe.event(
                         "wire.malformed", node=self.node.node_id, sender=sender,
                         size=len(payload),
                     )

@@ -18,6 +18,7 @@ instances stacked above it (paper section 4.2, Fig 2).  Each unit:
 
 from __future__ import annotations
 
+import time
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from repro.events.event import Event
@@ -102,40 +103,31 @@ class CFSUnit(ComponentFramework):
     def process_event(self, event: Event) -> None:
         """Deliver one event to this unit's handlers (called under lock).
 
-        When the deployment's observability context has tracing enabled,
-        the dispatch is wrapped in a ``unit.process`` span and its
-        wall-clock duration lands in the ``unit.process_seconds``
+        While the deployment's probe is live the dispatch runs inside a
+        ``unit.process`` profiler frame + trace span; when tracing, its
+        wall-clock duration also lands in the ``unit.process_seconds``
         histogram labelled by unit and event type (the quantity behind
         the paper's "time to process message" metric).
         """
         self.events_processed += 1
         deployment = self.deployment
         obs = None if deployment is None else getattr(deployment, "obs", None)
-        if obs is None:
+        probe = None if obs is None else obs.probe
+        if probe is None:
             self.registry.dispatch(event)
             return
-        profiler = obs.profiler
-        if profiler is not None:
-            profiler.push2("unit.process", self.name + "/" + event.etype.name)
-        try:
-            if obs.tracer is not None and obs.tracer.enabled:
-                # Imported lazily: repro.protocols pulls in the protocol
-                # registry, which imports this module at package-init time.
-                from repro.protocols.common import handler_timer
-
-                node = getattr(deployment, "node", None)
-                timer = handler_timer(
-                    obs, self.name, event.etype.name,
-                    node=node.node_id if node is not None else -1,
-                )
-                if timer is not None:
-                    with timer:
-                        self.registry.dispatch(event)
-                    return
+        etype = event.etype.name
+        node = getattr(deployment, "node", None)
+        started = time.perf_counter()
+        with probe.span(
+            "unit.process", self.name + "/" + etype, unit=self.name,
+            etype=etype, node=node.node_id if node is not None else -1,
+        ):
             self.registry.dispatch(event)
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        if probe.tracing:
+            obs.registry.histogram(
+                "unit.process_seconds", unit=self.name, etype=etype
+            ).observe(time.perf_counter() - started)
 
     # -- direct calls --------------------------------------------------------------
 

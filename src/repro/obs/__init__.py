@@ -20,7 +20,7 @@ package is the structured substrate for it:
   Chrome trace-event JSON (see ``repro.tools.traceview``);
 * :mod:`repro.obs.bench` — the ``BENCH_<name>.json`` emitter that turns
   benchmark runs into machine-readable results (median/p95/p99, bytes,
-  frames) which ``tools/bench_check.py`` gates in CI;
+  frames) which ``repro.tools.bench_check`` gates in CI;
 * :mod:`repro.obs.summary` — cross-run merging: reduces many scenario
   result dicts into one percentile summary (the campaign runner's merged
   report);
@@ -28,11 +28,15 @@ package is the structured substrate for it:
   traces (disjoint span/prov id bands keep causal links intact) and sums
   per-shard metrics snapshots, so ``traceview``, ``CausalGraph`` and the
   BENCH exporters work unchanged on sharded runs
-  (:mod:`repro.sim.sharded`).
+  (:mod:`repro.sim.sharded`);
+* :mod:`repro.obs.probe` — the probe seam: the one handle
+  (:attr:`Observability.probe`) through which every instrumented site
+  reaches the recorder and the profiler.
 
-Tracing is **off by default** and costs a single attribute check on the
-hot paths when disabled; enable it per simulation with
-:meth:`repro.sim.Simulation.enable_tracing`.
+Tracing and profiling are **off by default** and cost one ``probe is
+None`` check per instrumented site when disabled; enable them per
+simulation with :meth:`repro.sim.Simulation.enable_tracing` /
+:meth:`~repro.sim.Simulation.enable_profiling`.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from typing import Callable, Optional
 
 from repro.obs.merge import merge_metrics_snapshots, merge_profiles, merge_trace_events
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.probe import Probe
 from repro.obs.profile import Profiler
 from repro.obs.summary import summarize_runs
 from repro.obs.trace import TraceEvent, TraceRecorder
@@ -49,9 +54,11 @@ from repro.obs.trace import TraceEvent, TraceRecorder
 class Observability:
     """One deployment's observability context: registry, tracer, profiler.
 
-    The tracer and profiler are ``None`` until :meth:`enable_tracing` /
-    :meth:`enable_profiling` are called, so instrumented hot paths pay
-    only an attribute load and a ``None`` check when both are disabled.
+    Instrumented sites read :attr:`probe` and nothing else: it is
+    ``None`` until :meth:`enable_tracing` / :meth:`enable_profiling` is
+    called, so hot paths pay only an attribute load and a ``None`` check
+    when both are disabled.  ``tracer`` and ``profiler`` hold what was
+    captured, for export and reporting.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
@@ -59,6 +66,14 @@ class Observability:
         self.registry = MetricsRegistry()
         self.tracer: Optional[TraceRecorder] = None
         self.profiler: Optional[Profiler] = None
+        self.probe: Optional[Probe] = None
+
+    def _refresh_probe(self) -> None:
+        tracer = self.tracer if self.tracing else None
+        if tracer is None and self.profiler is None:
+            self.probe = None
+        else:
+            self.probe = Probe(tracer, self.profiler)
 
     # -- tracing lifecycle --------------------------------------------------
 
@@ -67,12 +82,14 @@ class Observability:
         if self.tracer is None:
             self.tracer = TraceRecorder(self.clock, capacity=capacity)
         self.tracer.enabled = True
+        self._refresh_probe()
         return self.tracer
 
     def disable_tracing(self) -> None:
         """Stop recording; already-captured events are kept."""
         if self.tracer is not None:
             self.tracer.enabled = False
+            self._refresh_probe()
 
     @property
     def tracing(self) -> bool:
@@ -84,11 +101,13 @@ class Observability:
         """Install (or return) the cost-attribution profiler."""
         if self.profiler is None:
             self.profiler = Profiler()
+            self._refresh_probe()
         return self.profiler
 
     def disable_profiling(self) -> None:
         """Detach the profiler; captured aggregates stay on the instance."""
         self.profiler = None
+        self._refresh_probe()
 
     @property
     def profiling(self) -> bool:
@@ -115,6 +134,7 @@ class Observability:
 
 __all__ = [
     "Observability",
+    "Probe",
     "MetricsRegistry",
     "Counter",
     "Gauge",

@@ -16,7 +16,7 @@ Every benchmark run is reduced to a flat map of named metrics::
       }
     }
 
-``direction`` drives the CI gate (``tools/bench_check.py``):
+``direction`` drives the CI gate (``repro.tools.bench_check``):
 
 * ``lower`` / ``higher`` — gated: a >tolerance move in the bad direction
   vs the checked-in baseline fails the build.  Use these for quantities

@@ -29,10 +29,10 @@ stacks, not the number of events.  Counts are deterministic per seed
 (one increment per frame entry, in event order); wall times are
 machine-dependent and are zeroed by ``snapshot(deterministic=True)``.
 
-Disabled cost is the contract of :mod:`repro.obs`: every seam guards
-with ``profiler = X.profiler`` + ``is not None``, so a run without
-profiling pays one attribute load and a ``None`` check per seam and
-never enters this module (enforced by the zero-allocation guard in
+Disabled cost is the contract of :mod:`repro.obs`: every seam reaches
+this module through :attr:`repro.obs.Observability.probe`, so a run
+without profiling pays one attribute load and a ``None`` check per seam
+and never enters this module (enforced by the zero-allocation guard in
 ``benchmarks/test_smoke_obs.py``).
 
 Offline consumers (:mod:`repro.tools.profview`) render a snapshot as a
@@ -72,7 +72,7 @@ def frame_subsystem(label: str) -> str:
 
 
 class _FrameContext:
-    """Context-manager wrapper over push/pop for cold paths."""
+    """Context-manager wrapper over push2/pop."""
 
     __slots__ = ("profiler", "name", "detail")
 
@@ -93,9 +93,9 @@ class _FrameContext:
 class Profiler:
     """Hierarchical cost-attribution profiler with online aggregation.
 
-    Hot paths use the paired :meth:`push2`/:meth:`pop` (or
-    :meth:`push`/:meth:`pop`) methods; cold paths may prefer the
-    :meth:`frame` context manager.  :meth:`count` attributes an event
+    Instrumented sites enter frames through the probe seam
+    (:meth:`frame`, a context manager over the paired
+    :meth:`push2`/:meth:`pop`).  :meth:`count` attributes an event
     count with zero wall time under the current stack (used for
     per-mode attribution where the mode is only known after the work,
     e.g. ``route_calc.incremental``).

@@ -9,8 +9,8 @@ though their wall timings differ.
 
 The recorder is deliberately cheap: when ``enabled`` is ``False`` both
 :meth:`event` and :meth:`span` return immediately, and instrumented code
-in the scheduler/medium/data plane only reaches the recorder behind a
-``tracer is not None`` check.
+in the scheduler/medium/data plane only reaches the recorder through a
+live :class:`~repro.obs.probe.Probe`.
 
 Causal provenance
 -----------------

@@ -6,24 +6,17 @@ of RFC 3561 section 6.1 (also used by DYMO and OLSR's ANSN handling): ``a``
 is newer than ``b`` iff ``(a - b) mod 2^16`` interpreted as a signed 16-bit
 value is positive.
 
-This module also hosts the shared *message observability* helpers used by
+This module also hosts the shared *message observability* helper used by
 every protocol's receive path (OLSR / DYMO / AODV / MPR all dispatch
-through :class:`~repro.core.unit.CFSUnit` and the System CF's wire
-decoder):
-
-* :class:`MessageMetrics` — cached per-message-type frame/byte counters
-  bound to an observability registry (always on; one dict lookup + int add
-  per message);
-* :class:`HandlerTimer` — a span plus wall-clock histogram around one
-  handler dispatch (active only while tracing is enabled, so the paper's
-  Table 1 micro path stays unperturbed otherwise).
+through the System CF's wire decoder): :class:`MessageMetrics` — cached
+per-message-type frame/byte counters bound to an observability registry
+(always on; one dict lookup + int add per message).
 """
 
 from __future__ import annotations
 
-import time
 from enum import IntEnum
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 SEQNUM_BITS = 16
 SEQNUM_MOD = 1 << SEQNUM_BITS
@@ -84,46 +77,6 @@ class MessageMetrics:
         frames.inc()
         if size:
             octets.inc(size)
-
-
-class HandlerTimer:
-    """Times one protocol handler dispatch: trace span + wall histogram.
-
-    Use :func:`handler_timer` to obtain one; it returns ``None`` whenever
-    tracing is disabled so callers can keep the disabled path to a single
-    ``is not None`` check.
-    """
-
-    __slots__ = ("_obs", "_unit", "_etype", "_span", "_t0")
-
-    def __init__(self, obs, unit: str, etype: str, node: int = -1) -> None:
-        self._obs = obs
-        self._unit = unit
-        self._etype = etype
-        self._span = obs.tracer.span(
-            "unit.process", unit=unit, etype=etype, node=node
-        )
-        self._t0 = 0.0
-
-    def __enter__(self) -> "HandlerTimer":
-        self._t0 = time.perf_counter()
-        self._span.__enter__()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._span.__exit__(*exc_info)
-        self._obs.registry.histogram(
-            "unit.process_seconds", unit=self._unit, etype=self._etype
-        ).observe(time.perf_counter() - self._t0)
-
-
-def handler_timer(
-    obs, unit: str, etype: str, node: int = -1
-) -> Optional[HandlerTimer]:
-    """A :class:`HandlerTimer` when tracing is on, else ``None``."""
-    if obs is not None and obs.tracer is not None and obs.tracer.enabled:
-        return HandlerTimer(obs, unit, etype, node)
-    return None
 
 
 class TlvType(IntEnum):

@@ -281,17 +281,14 @@ class RouteCalculator(Component):
         counters = self._observability()
         if counters is not None:
             counters[self._MODE_INDEX[mode]].inc()
-            obs = self.cf.deployment.node.obs
-            profiler = obs.profiler
-            if profiler is not None:
+            probe = self.cf.deployment.node.obs.probe
+            if probe is not None:
                 # The install mode is only known after the work ran, so
                 # attribute it as an event count (the wall time already
                 # lands in the enclosing unit.process frame).
-                profiler.count("route_calc.install", mode)
-            if mode != "noop":
-                tracer = obs.tracer
-                if tracer is not None and tracer.enabled:
-                    tracer.event(
+                probe.count("route_calc.install", mode)
+                if mode != "noop":
+                    probe.event(
                         "route_calc.update",
                         node=self.cf.deployment.node.node_id,
                         mode=mode,

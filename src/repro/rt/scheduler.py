@@ -16,29 +16,7 @@ import traceback
 from typing import Any, Callable, List
 
 from repro.obs.trace import callback_name
-
-
-class _RtCall:
-    __slots__ = ("when", "seq", "callback", "args", "cancelled", "_owner")
-
-    def __init__(self, when, seq, callback, args):
-        self.when = when
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._owner = None
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        owner = self._owner
-        if owner is not None:
-            owner._note_cancelled()
-
-    def __lt__(self, other: "_RtCall") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
+from repro.utils.scheduler import ScheduledCall
 
 
 class RealTimeScheduler:
@@ -46,7 +24,7 @@ class RealTimeScheduler:
 
     def __init__(self, name: str = "rt-scheduler") -> None:
         self._epoch = time.monotonic()
-        self._heap: List[_RtCall] = []
+        self._heap: List[ScheduledCall] = []
         self._seq = itertools.count()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -54,9 +32,9 @@ class RealTimeScheduler:
         self._cancelled = 0
         self.heap_compactions = 0
         self.errors: List[str] = []
-        #: Optional :class:`repro.obs.trace.TraceRecorder`.  For a
-        #: wall-clock deployment both trace timestamps are wall time.
-        self.tracer = None
+        #: Optional :class:`repro.obs.Observability`.  For a wall-clock
+        #: deployment both trace timestamps are wall time.
+        self.obs = None
         self._thread = threading.Thread(target=self._loop, name=name, daemon=True)
         self._thread.start()
 
@@ -70,7 +48,7 @@ class RealTimeScheduler:
         return self.call_at(self.now + max(delay, 0.0), callback, *args)
 
     def call_at(self, when: float, callback: Callable[..., Any], *args: Any):
-        call = _RtCall(when, next(self._seq), callback, args)
+        call = ScheduledCall(when, next(self._seq), callback, args)
         call._owner = self
         with self._wake:
             if not self._running:
@@ -79,7 +57,7 @@ class RealTimeScheduler:
             self._wake.notify()
         return call
 
-    def _note_cancelled(self) -> None:
+    def _note_cancelled(self, call: ScheduledCall) -> None:
         """Compact the heap when cancelled entries outnumber live ones.
 
         Without this, a cancelled call stays queued until its deadline —
@@ -125,15 +103,14 @@ class RealTimeScheduler:
                     self._wake.wait(min(delay, 0.1))
                 else:
                     return
-            tracer = self.tracer
+            probe = None if self.obs is None else self.obs.probe
             try:
-                if tracer is not None and tracer.enabled:
-                    with tracer.span(
-                        "rt.dispatch", callback=callback_name(call.callback)
-                    ):
-                        call.callback(*call.args)
-                else:
+                if probe is None:
                     call.callback(*call.args)
+                else:
+                    name = callback_name(call.callback)
+                    with probe.span("rt.dispatch", name, callback=name):
+                        call.callback(*call.args)
             except Exception:
                 # A broken callback must not kill every timer on the node.
                 self.errors.append(traceback.format_exc())

@@ -9,8 +9,9 @@ simulation:
 * :mod:`repro.sim.medium` — the wireless medium: a connectivity relation
   with per-link latency, loss and quality; broadcast and unicast delivery
   with optional link-layer feedback;
-* :mod:`repro.sim.phy` — pluggable medium models: the byte-identical
-  :class:`~repro.sim.phy.IdealModel` default and an
+* :mod:`repro.sim.phy` — pluggable medium models, the verdict stage of
+  the medium's one delivery pipeline: the default
+  :class:`~repro.sim.phy.IdealModel` (per-link scalar loss) and an
   :class:`~repro.sim.phy.InterferenceModel` adding SINR-style
   interference and CSMA contention under named 802.11 link profiles;
 * :mod:`repro.sim.node` — simulated hosts with position, battery and

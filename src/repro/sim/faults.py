@@ -392,23 +392,19 @@ class FaultInjector:
 
     def _apply(self, at: float, kind: str, params: Dict[str, Any]) -> None:
         handler = getattr(self, f"_apply_{kind}")
-        profiler = getattr(getattr(self.sim, "obs", None), "profiler", None)
-        if profiler is None:
+        obs = getattr(self.sim, "obs", None)
+        probe = None if obs is None else obs.probe
+        if probe is None:
             handler(params)
         else:
-            profiler.push2("fault.apply", kind)
-            try:
+            with probe.frame("fault.apply", kind):
                 handler(params)
-            finally:
-                profiler.pop()
         record = AppliedFault(self.sim.now, kind, _freeze(params))
         self.applied.append(record)
-        obs = getattr(self.sim, "obs", None)
         if obs is not None:
             obs.registry.counter("faults.steps", kind=kind).inc()
-            tracer = obs.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.event(f"fault.{kind}", **params)
+            if probe is not None:
+                probe.event(f"fault.{kind}", **params)
         for listener in list(self._listeners):
             listener(record)
 
@@ -586,10 +582,9 @@ class _GilbertElliottBurst:
                 if props is not None:
                     props.loss = loss
             obs = getattr(sim, "obs", None)
-            if obs is not None:
-                tracer = obs.tracer
-                if tracer is not None and tracer.enabled:
-                    tracer.event("fault.loss_burst_end", a=self.a, b=self.b)
+            probe = None if obs is None else obs.probe
+            if probe is not None:
+                probe.event("fault.loss_burst_end", a=self.a, b=self.b)
             return
         roll = self.injector.rng.random()
         if self.bad and roll < self.p_exit:

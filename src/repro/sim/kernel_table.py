@@ -113,14 +113,6 @@ class KernelRoutingTable:
         #: analysis can attribute route changes per node (-1 = unattached).
         self.node_id = node_id
 
-    def _tracer(self):
-        obs = self.obs
-        if obs is not None:
-            tracer = obs.tracer
-            if tracer is not None and tracer.enabled:
-                return tracer
-        return None
-
     # -- manipulation (ISysState surface) ----------------------------------
 
     def add_route(
@@ -146,16 +138,16 @@ class KernelRoutingTable:
                 self._plens.append(prefix_len)
                 self._plens.sort(reverse=True)
         self.version += 1
-        tracer = self._tracer()
-        if tracer is not None:
+        probe = None if self.obs is None else self.obs.probe
+        if probe is not None:
             if prefix_len >= ADDR_BITS:
-                tracer.event(
+                probe.event(
                     "kernel.route_add", node=self.node_id,
                     destination=destination,
                     next_hop=next_hop, metric=metric, proto=proto,
                 )
             else:
-                tracer.event(
+                probe.event(
                     "kernel.route_add", node=self.node_id,
                     destination=route.destination,
                     next_hop=next_hop, metric=metric, proto=proto,
@@ -175,9 +167,9 @@ class KernelRoutingTable:
                 self._plens.remove(prefix_len)
         if removed:
             self.version += 1
-            tracer = self._tracer()
-            if tracer is not None:
-                tracer.event(
+            probe = None if self.obs is None else self.obs.probe
+            if probe is not None:
+                probe.event(
                     "kernel.route_del", node=self.node_id,
                     destination=destination,
                 )
@@ -212,14 +204,15 @@ class KernelRoutingTable:
         replaced; entries installed by other protocols survive unless the
         new table claims the same destination.
         """
-        tracer = self._tracer()
+        probe = None if self.obs is None else self.obs.probe
+        tracing = probe is not None and probe.tracing
         # Delta attribution is trace-only work: snapshot the previous host
         # table so the replace event can report which destinations were
         # added/rerouted and which disappeared (the information offline
         # route explanation needs for proactive protocols).
         before = (
             {d: r.next_hop for d, r in self._routes.items()}
-            if tracer is not None else None
+            if tracing else None
         )
         host = [r for r in routes if r.prefix_len >= ADDR_BITS]
         prefix = [r for r in routes if r.prefix_len < ADDR_BITS]
@@ -249,14 +242,14 @@ class KernelRoutingTable:
             self._prefixes = kept_prefixes
         self._plens = sorted({plen for _net, plen in self._prefixes}, reverse=True)
         self.version += 1
-        if tracer is not None:
+        if tracing:
             added = sorted(
                 (d, r.next_hop)
                 for d, r in self._routes.items()
                 if before.get(d) != r.next_hop
             )
             removed = sorted(d for d in before if d not in self._routes)
-            tracer.event(
+            probe.event(
                 "kernel.replace_all", node=self.node_id,
                 proto=proto or "*", routes=len(routes),
                 added=added, removed=removed,
@@ -271,9 +264,9 @@ class KernelRoutingTable:
                 return route
             del self._routes[destination]
             self.version += 1
-            tracer = self._tracer()
-            if tracer is not None:
-                tracer.event(
+            probe = None if self.obs is None else self.obs.probe
+            if probe is not None:
+                probe.event(
                     "kernel.route_expired", node=self.node_id,
                     destination=destination,
                 )

@@ -14,14 +14,14 @@ in-flight frames still arrive (or are lost) after topology changes, just as
 on a real radio.  All randomness comes from one seeded RNG: identical
 seeds give identical runs.
 
-*How* a transmission becomes deliveries is a pluggable strategy
-(:mod:`repro.sim.phy`): the default :class:`~repro.sim.phy.IdealModel`
-is the matrix-delivery fast path inlined in :meth:`WirelessMedium.broadcast`
-/ :meth:`WirelessMedium.unicast` below (``self.phy`` stays ``None``, so
-the only cost is one attribute check per transmission);
-:class:`~repro.sim.phy.InterferenceModel` adds SINR-style interference,
-CSMA contention and 802.11 link profiles.  Install via
-:meth:`WirelessMedium.install_model`.
+Every transmission takes one path: the prologue in
+:meth:`WirelessMedium._transmit`, then the installed
+:class:`~repro.sim.phy.MediumModel` strategy decides which receivers the
+radio reaches (:class:`~repro.sim.phy.IdealModel`: per-link scalar loss;
+:class:`~repro.sim.phy.InterferenceModel`: CSMA contention, SINR-style
+interference, 802.11 link profiles), and every survivor goes through
+:meth:`WirelessMedium._schedule_delivery` (shard boundary → fault tamper
+→ scheduler).  Install a model via :meth:`WirelessMedium.install_model`.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class WirelessMedium:
     """Connectivity + delivery engine.
 
     ``obs`` (a :class:`repro.obs.Observability`) makes every transmit,
-    loss and delivery visible to the trace recorder once tracing is
-    enabled; when tracing is off the cost is one attribute check per
-    frame.
+    loss and delivery visible to the trace recorder and the profiler
+    through its probe; when both are off the cost is one ``probe is
+    None`` check per frame.
     """
 
     def __init__(self, scheduler: Scheduler, seed: int = 0, obs=None) -> None:
@@ -81,9 +81,6 @@ class WirelessMedium:
         self.rng = random.Random(seed)
         self._links: Dict[Tuple[int, int], LinkProperties] = {}
         self._receivers: Dict[int, Callable[[Frame], None]] = {}
-        # Observers notified on any connectivity change (mobility hooks,
-        # context sensors watching link quality).
-        self._topology_observers: List[Callable[[], None]] = []
         #: Optional per-delivery tamper hook (fault injection).  Called as
         #: ``tamper(frame, receiver_id, props)`` after the ordinary loss
         #: roll passes; returning ``None`` keeps the default delivery,
@@ -98,16 +95,11 @@ class WirelessMedium:
         #: captured — serialized for delivery into the peer shard's next
         #: epoch — instead of being scheduled locally.  ``None`` on the
         #: single-process path, which therefore pays one attribute load
-        #: per transmission and nothing else.
+        #: per surviving receiver and nothing else.
         self.boundary = None
-        #: The installed :class:`~repro.sim.phy.MediumModel`.  ``model``
-        #: is always a real strategy object (for metrics/reporting);
-        #: ``phy`` is the hot-path dispatch handle — ``None`` for the
-        #: ideal model, whose behaviour is inlined in
-        #: :meth:`broadcast`/:meth:`unicast`, so the fast path pays one
-        #: attribute check per transmission and nothing else.
+        #: The installed :class:`~repro.sim.phy.MediumModel`: decides,
+        #: per transmission, which receivers the radio reaches.
         self.model: MediumModel = IdealModel()
-        self.phy: Optional[MediumModel] = None
         self.frames_sent = 0
         self.frames_delivered = 0
         self.frames_lost = 0
@@ -135,14 +127,8 @@ class WirelessMedium:
     # -- PHY strategy --------------------------------------------------------
 
     def install_model(self, model: MediumModel) -> MediumModel:
-        """Install a :class:`~repro.sim.phy.MediumModel` strategy.
-
-        An :class:`~repro.sim.phy.IdealModel` keeps ``phy = None`` — the
-        inlined fast path below, byte-identical to the pre-strategy
-        medium.  Any other model takes over transmission handling.
-        """
+        """Install a :class:`~repro.sim.phy.MediumModel` strategy."""
         self.model = model
-        self.phy = None if isinstance(model, IdealModel) else model
         return model
 
     def _check_node(self, node_id: int) -> None:
@@ -169,12 +155,10 @@ class WirelessMedium:
             else:
                 self._links.pop(pair, None)
         self._neighbor_cache.clear()
-        self._notify_topology_change()
 
     def clear_links(self) -> None:
         self._links.clear()
         self._neighbor_cache.clear()
-        self._notify_topology_change()
 
     def set_connectivity(
         self,
@@ -188,7 +172,6 @@ class WirelessMedium:
             self._links[(a, b)] = LinkProperties(latency, loss)
             self._links[(b, a)] = LinkProperties(latency, loss)
         self._neighbor_cache.clear()
-        self._notify_topology_change()
 
     def has_link(self, a: int, b: int) -> bool:
         return (a, b) in self._links
@@ -215,132 +198,29 @@ class WirelessMedium:
     def edges(self) -> Set[Tuple[int, int]]:
         return set(self._links)
 
-    def add_topology_observer(self, observer: Callable[[], None]) -> None:
-        self._topology_observers.append(observer)
-
-    def _notify_topology_change(self) -> None:
-        for observer in self._topology_observers:
-            observer()
-
-    # -- delivery -------------------------------------------------------------
-
-    def _tracer(self):
-        obs = self.obs
-        if obs is not None:
-            tracer = obs.tracer
-            if tracer is not None and tracer.enabled:
-                return tracer
-        return None
-
-    def _profiler(self):
-        obs = self.obs
-        return None if obs is None else obs.profiler
+    # -- transmission --------------------------------------------------------
 
     def broadcast(self, frame: Frame) -> int:
         """Transmit to every neighbour; returns how many deliveries were scheduled.
 
-        One transmission enqueues a *single* scheduler entry per distinct
-        link latency (usually exactly one), sharing the frame across the
-        whole broadcast domain, instead of one entry per receiver.  Loss
-        and tamper decisions are still rolled per receiver at transmit
-        time, in sorted-neighbour order, so the RNG stream and all traced
-        outcomes are identical to per-receiver scheduling.  Batches are
-        anchored at the scheduler position of their first member, and any
-        tampered delivery seals the open batches, which preserves the
-        exact same-instant execution order of the unbatched world.
-
-        With a non-ideal PHY model installed, the model takes over
-        entirely (carrier sense, deferral, per-receiver SINR verdicts).
+        Under the ideal model one transmission enqueues a *single*
+        scheduler entry per distinct link latency (usually exactly one),
+        sharing the frame across the whole broadcast domain, instead of
+        one entry per receiver.  Loss and tamper decisions are still
+        rolled per receiver at transmit time, in sorted-neighbour order,
+        so the RNG stream and all traced outcomes are identical to
+        per-receiver scheduling.  Batches are anchored at the scheduler
+        position of their first member, and any tampered delivery seals
+        the open batches, which preserves the exact same-instant
+        execution order of the unbatched world.
         """
-        profiler = self._profiler()
-        if profiler is None:
-            phy = self.phy
-            if phy is not None:
-                return phy.broadcast(self, frame)
-            return self._broadcast_ideal(frame)
-        # The frame wraps the PHY dispatch too, so interference/CSMA
+        probe = None if self.obs is None else self.obs.probe
+        if probe is None:
+            return self._transmit(frame, False, None)
+        # The frame wraps the model dispatch too, so interference/CSMA
         # transmit costs attribute under the same ``medium.broadcast``.
-        profiler.push2("medium.broadcast", frame.kind)
-        try:
-            phy = self.phy
-            if phy is not None:
-                return phy.broadcast(self, frame)
-            return self._broadcast_ideal(frame)
-        finally:
-            profiler.pop()
-
-    def _broadcast_ideal(self, frame: Frame) -> int:
-        self._check_node(frame.sender)
-        self.frames_sent += 1
-        tracer = self._tracer()
-        if tracer is not None:
-            prov = frame.meta.get("prov")
-            if prov is None:
-                prov = frame.meta["prov"] = tracer.new_provenance()
-            attrs = {
-                "sender": frame.sender, "kind": frame.kind,
-                "size": frame.size, "prov": prov,
-            }
-            msg = frame.meta.get("msg")
-            if msg is not None:
-                attrs["msg"] = msg
-            tracer.event("medium.broadcast", **attrs)
-        scheduled = 0
-        sender = frame.sender
-        links = self._links
-        rng = self.rng
-        boundary = self.boundary
-        batches: Dict[float, List[int]] = {}
-        for neighbor in self.neighbors(sender):
-            props = links[(sender, neighbor)]
-            if props.loss > 0 and rng.random() < props.loss:
-                self.frames_lost += 1
-                if tracer is not None:
-                    tracer.event(
-                        "medium.loss", sender=sender, dst=neighbor,
-                        kind=frame.kind, prov=frame.meta["prov"],
-                    )
-                continue
-            if boundary is not None and neighbor in boundary.remote:
-                # Cross-shard hop: hand the frame to the boundary proxy
-                # (it carries latency + prov to the peer shard's epoch).
-                boundary.capture(frame, neighbor, props)
-                scheduled += 1
-                continue
-            tamper = self.tamper
-            if tamper is not None:
-                deliveries = tamper(frame, neighbor, props)
-                if deliveries is not None:
-                    self.frames_tampered += 1
-                    if tracer is not None:
-                        tracer.event(
-                            "medium.tamper", sender=sender, dst=neighbor,
-                            kind=frame.kind, copies=len(deliveries),
-                            prov=frame.meta["prov"],
-                        )
-                    if not deliveries:
-                        self.frames_lost += 1
-                        continue
-                    for delay, tampered in deliveries:
-                        self.scheduler.call_later(
-                            delay, self._deliver, tampered, neighbor
-                        )
-                    # The tampered copies hold their own scheduler slots;
-                    # seal the open batches so a later receiver cannot be
-                    # delivered ahead of them at the same instant.
-                    batches = {}
-                    scheduled += 1
-                    continue
-            batch = batches.get(props.latency)
-            if batch is None:
-                batch = batches[props.latency] = []
-                self.batches_scheduled += 1
-                self.scheduler.call_later(
-                    props.latency, self._deliver_batch, frame, batch
-                )
-            batch.append(neighbor)
-            scheduled += 1
-        return scheduled
+        with probe.frame("medium.broadcast", frame.kind):
+            return self._transmit(frame, False, probe)
 
     def unicast(self, frame: Frame) -> bool:
         """Transmit to ``frame.link_dst``.
@@ -351,59 +231,66 @@ class WirelessMedium:
         the air; it can still be lost to the link's loss probability (and,
         under a non-ideal PHY model, to contention or interference).
         """
-        profiler = self._profiler()
-        if profiler is None:
-            phy = self.phy
-            if phy is not None:
-                return phy.unicast(self, frame)
-            return self._unicast_ideal(frame)
-        profiler.push2("medium.unicast", frame.kind)
-        try:
-            phy = self.phy
-            if phy is not None:
-                return phy.unicast(self, frame)
-            return self._unicast_ideal(frame)
-        finally:
-            profiler.pop()
+        probe = None if self.obs is None else self.obs.probe
+        if probe is None:
+            return self._transmit(frame, True, None)
+        with probe.frame("medium.unicast", frame.kind):
+            return self._transmit(frame, True, probe)
 
-    def _unicast_ideal(self, frame: Frame) -> bool:
+    def _transmit(self, frame: Frame, unicast: bool, probe):
+        """The one transmit path: prologue, then the installed model."""
         self._check_node(frame.sender)
         self.frames_sent += 1
-        tracer = self._tracer()
-        if tracer is not None:
+        if probe is not None and probe.tracing:
             prov = frame.meta.get("prov")
             if prov is None:
-                prov = frame.meta["prov"] = tracer.new_provenance()
-            attrs = {
-                "sender": frame.sender, "dst": frame.link_dst,
-                "kind": frame.kind, "size": frame.size, "prov": prov,
-            }
+                prov = frame.meta["prov"] = probe.new_provenance()
+            attrs: Dict[str, Any] = {"sender": frame.sender}
+            if unicast:
+                attrs["dst"] = frame.link_dst
+            attrs.update(kind=frame.kind, size=frame.size, prov=prov)
             msg = frame.meta.get("msg")
             if msg is not None:
                 attrs["msg"] = msg
-            tracer.event("medium.unicast", **attrs)
+            probe.event("medium.unicast" if unicast else "medium.broadcast", **attrs)
+        if not unicast:
+            return self.model.broadcast(self, frame)
         if (frame.sender, frame.link_dst) not in self._links:
+            # Synchronous link-layer failure under every model: neighbour
+            # detection by link-layer feedback depends on it.
             self.frames_lost += 1
-            if tracer is not None:
-                tracer.event(
+            if probe is not None:
+                probe.event(
                     "medium.no_link", sender=frame.sender, dst=frame.link_dst
                 )
             return False
-        return self._attempt(frame, frame.link_dst)
+        return self.model.unicast(self, frame)
 
-    def _attempt(self, frame: Frame, receiver_id: int) -> bool:
-        props = self._links[(frame.sender, receiver_id)]
-        if props.loss > 0 and self.rng.random() < props.loss:
-            self.frames_lost += 1
-            tracer = self._tracer()
-            if tracer is not None:
-                tracer.event(
-                    "medium.loss", sender=frame.sender, dst=receiver_id,
-                    kind=frame.kind, prov=frame.meta.get("prov"),
-                )
-            return False
+    # -- delivery -------------------------------------------------------------
+
+    def _schedule_delivery(
+        self,
+        frame: Frame,
+        receiver_id: int,
+        props: LinkProperties,
+        batches: Optional[Dict[float, List[int]]] = None,
+    ) -> bool:
+        """Post-verdict pipeline: boundary capture → tamper → delivery.
+
+        Every model hands each receiver that survived its loss/PHY
+        verdict to this one method, so shard capture and fault injection
+        (corruption/duplication/reordering windows) compose identically
+        with all of them: neither hook ever sees a frame the radio
+        dropped.  Returns whether anything was scheduled or captured.
+
+        ``batches`` (latency → receiver list, owned by one broadcast)
+        opts the caller into shared per-latency scheduler entries;
+        without it each receiver gets its own entry.
+        """
         boundary = self.boundary
         if boundary is not None and receiver_id in boundary.remote:
+            # Cross-shard hop: hand the frame to the boundary proxy
+            # (it carries latency + prov to the peer shard's epoch).
             boundary.capture(frame, receiver_id, props)
             return True
         tamper = self.tamper
@@ -411,9 +298,9 @@ class WirelessMedium:
             deliveries = tamper(frame, receiver_id, props)
             if deliveries is not None:
                 self.frames_tampered += 1
-                tracer = self._tracer()
-                if tracer is not None:
-                    tracer.event(
+                probe = None if self.obs is None else self.obs.probe
+                if probe is not None:
+                    probe.event(
                         "medium.tamper", sender=frame.sender, dst=receiver_id,
                         kind=frame.kind, copies=len(deliveries),
                         prov=frame.meta.get("prov"),
@@ -422,69 +309,29 @@ class WirelessMedium:
                     self.frames_lost += 1
                     return False
                 for delay, tampered in deliveries:
-                    self.scheduler.call_later(delay, self._deliver, tampered, receiver_id)
-                return True
-        self.scheduler.call_later(props.latency, self._deliver, frame, receiver_id)
-        return True
-
-    # -- PHY-path plumbing ----------------------------------------------------
-    #
-    # Used only by non-ideal MediumModel strategies (repro.sim.phy); the
-    # ideal fast path above keeps its inline copies of this logic so its
-    # cost and trace output stay byte-identical.
-
-    def _trace_transmit(self, frame: Frame, unicast: bool) -> None:
-        """Record the transmit trace event (mirrors the ideal path's)."""
-        tracer = self._tracer()
-        if tracer is None:
-            return
-        prov = frame.meta.get("prov")
-        if prov is None:
-            prov = frame.meta["prov"] = tracer.new_provenance()
-        attrs: Dict[str, Any] = {"sender": frame.sender}
-        if unicast:
-            attrs["dst"] = frame.link_dst
-        attrs.update(kind=frame.kind, size=frame.size, prov=prov)
-        msg = frame.meta.get("msg")
-        if msg is not None:
-            attrs["msg"] = msg
-        tracer.event("medium.unicast" if unicast else "medium.broadcast", **attrs)
-
-    def _schedule_delivery(
-        self, frame: Frame, receiver_id: int, props: LinkProperties
-    ) -> None:
-        """Post-PHY-verdict pipeline: boundary capture → tamper → delivery.
-
-        Exactly the ideal path's post-loss handling, so fault injection
-        (corruption/duplication/reordering windows) composes identically
-        with every medium model: the tamper hook only ever sees frames
-        the PHY let through.
-        """
-        boundary = self.boundary
-        if boundary is not None and receiver_id in boundary.remote:
-            boundary.capture(frame, receiver_id, props)
-            return
-        tamper = self.tamper
-        if tamper is not None:
-            deliveries = tamper(frame, receiver_id, props)
-            if deliveries is not None:
-                self.frames_tampered += 1
-                tracer = self._tracer()
-                if tracer is not None:
-                    tracer.event(
-                        "medium.tamper", sender=frame.sender, dst=receiver_id,
-                        kind=frame.kind, copies=len(deliveries),
-                        prov=frame.meta.get("prov"),
-                    )
-                if not deliveries:
-                    self.frames_lost += 1
-                    return
-                for delay, tampered in deliveries:
                     self.scheduler.call_later(
                         delay, self._deliver, tampered, receiver_id
                     )
-                return
-        self.scheduler.call_later(props.latency, self._deliver, frame, receiver_id)
+                if batches is not None:
+                    # The tampered copies hold their own scheduler slots;
+                    # seal the open batches so a later receiver cannot be
+                    # delivered ahead of them at the same instant.
+                    batches.clear()
+                return True
+        if batches is None:
+            self.scheduler.call_later(
+                props.latency, self._deliver, frame, receiver_id
+            )
+            return True
+        batch = batches.get(props.latency)
+        if batch is None:
+            batch = batches[props.latency] = []
+            self.batches_scheduled += 1
+            self.scheduler.call_later(
+                props.latency, self._deliver_batch, frame, batch
+            )
+        batch.append(receiver_id)
+        return True
 
     def _deliver_batch(self, frame: Frame, receivers: List[int]) -> None:
         """Deliver one shared frame to every receiver of a broadcast batch."""
@@ -492,49 +339,32 @@ class WirelessMedium:
             self._deliver(frame, receiver_id)
 
     def _deliver(self, frame: Frame, receiver_id: int) -> None:
-        profiler = self._profiler()
-        if profiler is None:
-            self._deliver_frame(frame, receiver_id)
-            return
-        # Receiver processing (handler dispatch, kernel installs,
-        # forwards) runs inside this frame, so it nests in the flamegraph
-        # under the delivery that caused it.
-        profiler.push2("medium.deliver", frame.kind)
-        try:
-            self._deliver_frame(frame, receiver_id)
-        finally:
-            profiler.pop()
-
-    def _deliver_frame(self, frame: Frame, receiver_id: int) -> None:
         receiver = self._receivers.get(receiver_id)
+        probe = None if self.obs is None else self.obs.probe
         if receiver is None:
             # The node left the network while the frame was in flight.
             self.frames_lost += 1
-            tracer = self._tracer()
-            if tracer is not None:
-                tracer.event(
-                    "medium.unregistered", sender=frame.sender,
-                    dst=receiver_id, kind=frame.kind, size=frame.size,
-                    prov=frame.meta.get("prov"),
-                )
+            if probe is not None:
+                with probe.frame("medium.deliver", frame.kind):
+                    probe.event(
+                        "medium.unregistered", sender=frame.sender,
+                        dst=receiver_id, kind=frame.kind, size=frame.size,
+                        prov=frame.meta.get("prov"),
+                    )
             return
         self.frames_delivered += 1
-        tracer = self._tracer()
-        if tracer is not None:
+        if probe is None:
+            receiver(frame)
+            return
+        # Everything the receiver does synchronously — handler dispatch,
+        # kernel installs, forwarded messages — nests under this frame in
+        # the flamegraph and, through the causal context, links back to
+        # the delivered frame's ``prov``.
+        with probe.frame("medium.deliver", frame.kind):
             prov = frame.meta.get("prov")
-            tracer.event(
+            probe.event(
                 "medium.deliver", sender=frame.sender, dst=receiver_id,
                 kind=frame.kind, size=frame.size, prov=prov,
             )
-            if prov:
-                # Everything the receiver does synchronously — handler
-                # dispatch, kernel installs, forwarded messages — happens
-                # under this causal context and links back to ``prov``.
-                saved = tracer.cause
-                tracer.cause = prov
-                try:
-                    receiver(frame)
-                finally:
-                    tracer.cause = saved
-                return
-        receiver(frame)
+            with probe.cause(prov):
+                receiver(frame)

@@ -75,9 +75,10 @@ class Simulation:
     ) -> None:
         self.scheduler = Scheduler()
         self.obs = Observability(clock=lambda: self.scheduler.now)
+        self.scheduler.obs = self.obs
         self.medium = WirelessMedium(self.scheduler, seed=seed, obs=self.obs)
-        #: PHY strategy (see :mod:`repro.sim.phy`): ``None``/``"ideal"``
-        #: keeps the ideal matrix-delivery fast path; a profile name
+        #: Medium model (see :mod:`repro.sim.phy`): ``None``/``"ideal"``
+        #: installs the :class:`~repro.sim.phy.IdealModel`; a profile name
         #: (``"802.11b"``/``"802.11g"``/``"802.11p"``) installs an
         #: :class:`~repro.sim.phy.InterferenceModel` seeded with ``seed``.
         self.phy_model = self.medium.install_model(build_medium_model(phy, seed=seed))
@@ -146,13 +147,11 @@ class Simulation:
     def enable_tracing(self, capacity: int = 200_000) -> TraceRecorder:
         """Turn on structured tracing for this simulation.
 
-        Installs the recorder on the scheduler (every dispatched event
-        becomes a span) and arms the medium / node / kernel-table hooks
-        that share this simulation's :class:`Observability`.
+        The scheduler (every dispatched event becomes a span), the
+        medium, the nodes and their kernel tables all read this
+        simulation's :class:`Observability` probe.
         """
-        tracer = self.obs.enable_tracing(capacity=capacity)
-        self.scheduler.tracer = tracer
-        return tracer
+        return self.obs.enable_tracing(capacity=capacity)
 
     def disable_tracing(self) -> None:
         self.obs.disable_tracing()
@@ -160,18 +159,15 @@ class Simulation:
     def enable_profiling(self) -> Profiler:
         """Turn on the cost-attribution profiler for this simulation.
 
-        Installs the profiler on the scheduler (every dispatch becomes a
-        ``sched.dispatch`` frame); the medium / unit / fault / reconfig
-        seams pick it up through this simulation's :class:`Observability`.
-        See :mod:`repro.obs.profile`.
+        The scheduler (every dispatch becomes a ``sched.dispatch``
+        frame) and the medium / unit / fault / reconfig seams pick it up
+        through this simulation's :class:`Observability` probe.  See
+        :mod:`repro.obs.profile`.
         """
-        profiler = self.obs.enable_profiling()
-        self.scheduler.profiler = profiler
-        return profiler
+        return self.obs.enable_profiling()
 
     def disable_profiling(self) -> None:
         self.obs.disable_profiling()
-        self.scheduler.profiler = None
 
     def _collect_medium_metrics(self) -> Dict[str, float]:
         tracer = self.obs.tracer

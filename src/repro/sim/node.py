@@ -121,8 +121,8 @@ class SimNode:
             original = receiver
 
             def delayed(payload: bytes, sender: int) -> None:
-                tracer = self._tracer()
-                cause = tracer.cause if tracer is not None else 0
+                probe = None if self.obs is None else self.obs.probe
+                cause = probe.current_cause if probe is not None else 0
                 if cause:
                     # The delay hop would otherwise sever the causal chain:
                     # re-establish the delivering frame's provenance when
@@ -150,24 +150,12 @@ class SimNode:
         # The scheduler dispatch frame for this hop names the trampoline;
         # a ``node.rx`` profiler frame re-attributes the deferred work to
         # the receiver that asked for the ``processing_delay``.
-        obs = self.obs
-        profiler = None if obs is None else obs.profiler
-        if profiler is not None:
-            profiler.push2("node.rx", callback_name(receiver))
-        try:
-            tracer = self._tracer()
-            if tracer is None:
-                receiver(payload, sender)
-                return
-            saved = tracer.cause
-            tracer.cause = cause
-            try:
-                receiver(payload, sender)
-            finally:
-                tracer.cause = saved
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        probe = None if self.obs is None else self.obs.probe
+        if probe is None:
+            receiver(payload, sender)
+            return
+        with probe.frame("node.rx", callback_name(receiver)), probe.cause(cause):
+            receiver(payload, sender)
 
     def remove_control_receiver(self, receiver: Callable[[bytes, int], None]) -> None:
         for installed in list(self._control_receivers):
@@ -250,23 +238,19 @@ class SimNode:
         )
         if self.stats is not None:
             self.stats.note_data_sent(self.node_id)
-        tracer = self._tracer()
-        if tracer is not None:
-            # Root of the data packet's causal chain: everything that
-            # happens because of this send (route lookup, buffering, the
-            # eventual transmission) links back to this provenance id.
-            prov = tracer.new_provenance()
-            tracer.event(
-                "node.data_send", node=self.node_id, dst=dst,
-                packet_id=packet.packet_id, prov=prov,
-            )
-            saved = tracer.cause
-            tracer.cause = prov
-            try:
-                return self._route_and_send(packet, originated=True)
-            finally:
-                tracer.cause = saved
-        return self._route_and_send(packet, originated=True)
+        probe = None if self.obs is None else self.obs.probe
+        if probe is None or not probe.tracing:
+            return self._route_and_send(packet, originated=True)
+        # Root of the data packet's causal chain: everything that happens
+        # because of this send (route lookup, buffering, the eventual
+        # transmission) links back to this provenance id.
+        prov = probe.new_provenance()
+        probe.event(
+            "node.data_send", node=self.node_id, dst=dst,
+            packet_id=packet.packet_id, prov=prov,
+        )
+        with probe.cause(prov):
+            return self._route_and_send(packet, originated=True)
 
     def reinject(self, packet: DataPacket) -> bool:
         """Re-enter a previously buffered packet into the data path.
@@ -274,12 +258,12 @@ class SimNode:
         Used by the NetLink component when a route discovery succeeds
         (``ROUTE_FOUND``, paper section 5.2).
         """
-        tracer = self._tracer()
-        if tracer is not None:
+        probe = None if self.obs is None else self.obs.probe
+        if probe is not None:
             # Runs under the causal context of whatever completed the
             # route discovery (usually an RREP delivery), so the record's
             # automatic ``cause`` attribute links buffered data back to it.
-            tracer.event(
+            probe.event(
                 "node.reinject", node=self.node_id, dst=packet.dst,
                 packet_id=packet.packet_id,
             )
@@ -303,18 +287,10 @@ class SimNode:
             return self._handle_no_route(packet, originated)
         return True
 
-    def _tracer(self):
-        obs = self.obs
-        if obs is not None:
-            tracer = obs.tracer
-            if tracer is not None and tracer.enabled:
-                return tracer
-        return None
-
     def _handle_no_route(self, packet: DataPacket, originated: bool) -> bool:
-        tracer = self._tracer()
-        if tracer is not None:
-            tracer.event(
+        probe = None if self.obs is None else self.obs.probe
+        if probe is not None:
+            probe.event(
                 "node.no_route", node=self.node_id, dst=packet.dst,
                 packet_id=packet.packet_id, originated=originated,
                 hook="netfilter" if self.hooks is not None else "drop",
@@ -334,9 +310,9 @@ class SimNode:
             self.stats.note_data_delivered(
                 packet, self.scheduler.now - packet.created_at
             )
-        tracer = self._tracer()
-        if tracer is not None:
-            tracer.event(
+        probe = None if self.obs is None else self.obs.probe
+        if probe is not None:
+            probe.event(
                 "node.data_delivered", node=self.node_id, src=packet.src,
                 packet_id=packet.packet_id,
             )
@@ -361,9 +337,9 @@ class SimNode:
         if not self.ip_forward or packet.ttl <= 1:
             if self.stats is not None:
                 self.stats.note_data_dropped(self.node_id)
-            tracer = self._tracer()
-            if tracer is not None:
-                tracer.event(
+            probe = None if self.obs is None else self.obs.probe
+            if probe is not None:
+                probe.event(
                     "node.data_drop", node=self.node_id, dst=packet.dst,
                     packet_id=packet.packet_id,
                     reason="no_forward" if not self.ip_forward else "ttl_expired",
@@ -374,9 +350,9 @@ class SimNode:
         self._route_and_send(packet, originated=False)
 
     def _notify_link_failure(self, next_hop: int) -> None:
-        tracer = self._tracer()
-        if tracer is not None:
-            tracer.event(
+        probe = None if self.obs is None else self.obs.probe
+        if probe is not None:
+            probe.event(
                 "node.link_failure", node=self.node_id, next_hop=next_hop
             )
         for observer in list(self._link_failure_observers):
@@ -405,9 +381,9 @@ class SimNode:
         self.ip_forward = False
         self.icmp_redirects = True
         self.kernel_table.flush()
-        tracer = self._tracer()
-        if tracer is not None:
-            tracer.event("node.power_off", node=self.node_id)
+        probe = None if self.obs is None else self.obs.probe
+        if probe is not None:
+            probe.event("node.power_off", node=self.node_id)
 
     def power_on(self) -> None:
         """Re-attach the radio after :meth:`power_off`.
@@ -416,9 +392,9 @@ class SimNode:
         detach); a fresh deployment re-initialises the routing environment.
         """
         self.medium.register_node(self.node_id, self.receive_frame)
-        tracer = self._tracer()
-        if tracer is not None:
-            tracer.event("node.power_on", node=self.node_id)
+        probe = None if self.obs is None else self.obs.probe
+        if probe is not None:
+            probe.event("node.power_on", node=self.node_id)
 
     def __repr__(self) -> str:
         return f"<SimNode {self.node_id} @{self.position}>"

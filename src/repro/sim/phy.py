@@ -1,18 +1,20 @@
-"""Pluggable PHY realism layer: medium strategies beyond the ideal matrix.
+"""Medium models: how one transmission becomes per-receiver verdicts.
 
-The default :class:`~repro.sim.medium.WirelessMedium` behaviour — matrix
-delivery with per-link scalar loss — is an *idealised* radio: every frame
-goes on the air the instant it is sent, and concurrent transmissions never
-interact.  That is the right default (it is fast and it is what every
-committed golden trace and benchmark baseline pins), but link-availability
-studies show protocol rankings flip once the PHY parameter set is taken
-seriously.  This module makes the medium a **strategy**:
+The default radio — matrix delivery with per-link scalar loss — is
+*idealised*: every frame goes on the air the instant it is sent, and
+concurrent transmissions never interact.  That is the right default (it
+is fast and it is what every committed golden trace and benchmark
+baseline pins), but link-availability studies show protocol rankings
+flip once the PHY parameter set is taken seriously.  So the verdict is a
+**strategy** over the medium's one delivery pipeline
+(:meth:`~repro.sim.medium.WirelessMedium._transmit` runs the prologue,
+the model decides who the radio reaches, and every survivor goes through
+:meth:`~repro.sim.medium.WirelessMedium._schedule_delivery`):
 
-* :class:`MediumModel` — the strategy interface the medium consults per
-  transmission;
-* :class:`IdealModel` — the identity strategy.  Installing it keeps the
-  medium's inlined fast path: byte-identical traces, zero added cost
-  (the medium represents it as ``phy = None`` internally);
+* :class:`MediumModel` — the strategy interface the medium calls once
+  per transmission;
+* :class:`IdealModel` — the idealised radio: an independent loss roll
+  per link, survivors batched per latency;
 * :class:`InterferenceModel` — SINR-style degradation plus a CSMA
   contention approximation:
 
@@ -33,10 +35,11 @@ seriously.  This module makes the medium a **strategy**:
 * :data:`PROFILES` — named 802.11b / 802.11g / 802.11p parameter sets,
   selectable from the scenario CLI (``--phy``) and the campaign matrix.
 
-Determinism: every random draw (backoff widths, per-receiver loss rolls)
-comes from one ``random.Random(seed)`` owned by the model — never from
-the medium's own RNG — rolled in sorted-receiver order at transmit time.
-Same seed + same profile ⇒ identical traces, twice over.
+Determinism: the ideal model rolls from the medium's RNG; every draw the
+interference model makes (backoff widths, per-receiver loss rolls) comes
+from one ``random.Random(seed)`` it owns — never from the medium's —
+both in sorted-receiver order at transmit time.  Same seed + same
+profile ⇒ identical traces, twice over.
 
 Composition with fault injection: the PHY verdict runs **first**; the
 fault injector's tamper hook (Gilbert-Elliott windows mutate
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.medium import Frame, WirelessMedium
@@ -155,9 +158,13 @@ class MediumModel:
     """Strategy interface: how transmissions become deliveries.
 
     The medium calls :meth:`broadcast` / :meth:`unicast` once per
-    transmission (never per receiver).  Implementations own their
-    randomness and publish the ``phy.*`` counter family; the base class
-    zeroes every counter so the metrics schema is model-independent.
+    transmission (never per receiver), after its transmit prologue —
+    sender check, ``frames_sent``, the transmit trace record and, for
+    unicast, the synchronous ``no_link`` failure.  A model rules on each
+    receiver and hands the survivors to
+    :meth:`~repro.sim.medium.WirelessMedium._schedule_delivery`.  The
+    base class zeroes every ``phy.*`` counter so the metrics schema is
+    model-independent.
     """
 
     name = "abstract"
@@ -189,22 +196,49 @@ class MediumModel:
 
 
 class IdealModel(MediumModel):
-    """The identity strategy: the medium's inlined matrix-delivery path.
+    """The idealised radio: each link applies its scalar loss, alone.
 
-    Installing an :class:`IdealModel` leaves ``WirelessMedium.phy`` as
-    ``None``, so the hot path stays byte-identical to the pre-strategy
-    medium (one attribute check per transmission, exactly as before).
-    The delegation methods below exist so the model is still a complete
-    :class:`MediumModel` when driven directly.
+    Loss is rolled per receiver at transmit time from the *medium's*
+    RNG, in sorted-neighbour order.  A broadcast's survivors share one
+    scheduler entry per distinct link latency (see
+    :meth:`~repro.sim.medium.WirelessMedium.broadcast`).
     """
 
     name = "ideal"
 
     def broadcast(self, medium: "WirelessMedium", frame: "Frame") -> int:
-        return medium.broadcast(frame)
+        return self._roll(medium, frame, medium.neighbors(frame.sender), {})
 
     def unicast(self, medium: "WirelessMedium", frame: "Frame") -> bool:
-        return medium.unicast(frame)
+        return self._roll(medium, frame, (frame.link_dst,), None) == 1
+
+    def _roll(
+        self,
+        medium: "WirelessMedium",
+        frame: "Frame",
+        receivers: Sequence[int],
+        batches: Optional[Dict[float, List[int]]],
+    ) -> int:
+        """Loss-roll ``receivers``; returns how many were scheduled."""
+        sender = frame.sender
+        links = medium._links
+        rng = medium.rng
+        schedule = medium._schedule_delivery
+        scheduled = 0
+        for receiver in receivers:
+            props = links[(sender, receiver)]
+            if props.loss > 0 and rng.random() < props.loss:
+                medium.frames_lost += 1
+                probe = None if medium.obs is None else medium.obs.probe
+                if probe is not None:
+                    probe.event(
+                        "medium.loss", sender=sender, dst=receiver,
+                        kind=frame.kind, prov=frame.meta.get("prov"),
+                    )
+                continue
+            if schedule(frame, receiver, props, batches):
+                scheduled += 1
+        return scheduled
 
 
 class InterferenceModel(MediumModel):
@@ -227,28 +261,11 @@ class InterferenceModel(MediumModel):
     # -- the strategy interface ---------------------------------------------
 
     def broadcast(self, medium: "WirelessMedium", frame: "Frame") -> int:
-        medium._check_node(frame.sender)
-        medium.frames_sent += 1
-        medium._trace_transmit(frame, unicast=False)
         attempted = len(medium.neighbors(frame.sender))
         self._contend(medium, frame, unicast=False, attempt=0)
         return attempted
 
     def unicast(self, medium: "WirelessMedium", frame: "Frame") -> bool:
-        medium._check_node(frame.sender)
-        medium.frames_sent += 1
-        medium._trace_transmit(frame, unicast=True)
-        if (frame.sender, frame.link_dst) not in medium._links:
-            # Synchronous link-layer failure, exactly as on the ideal
-            # path — neighbour detection by link-layer feedback must
-            # keep working under every model.
-            medium.frames_lost += 1
-            tracer = medium._tracer()
-            if tracer is not None:
-                tracer.event(
-                    "medium.no_link", sender=frame.sender, dst=frame.link_dst
-                )
-            return False
         self._contend(medium, frame, unicast=True, attempt=0)
         return True
 
@@ -270,12 +287,12 @@ class InterferenceModel(MediumModel):
         self, medium: "WirelessMedium", frame: "Frame", unicast: bool, attempt: int
     ) -> None:
         now = medium.scheduler.now
+        probe = None if medium.obs is None else medium.obs.probe
         if frame.sender not in medium._receivers:
             # The sender crashed/left while the frame waited in backoff.
             medium.frames_lost += 1
-            tracer = medium._tracer()
-            if tracer is not None:
-                tracer.event(
+            if probe is not None:
+                probe.event(
                     "phy.abort", sender=frame.sender, kind=frame.kind,
                     prov=frame.meta.get("prov"),
                 )
@@ -286,9 +303,8 @@ class InterferenceModel(MediumModel):
                 self.deferrals += 1
                 window = min(profile.cw_min << attempt, profile.cw_max)
                 backoff = profile.slot_time * self.rng.randint(1, window)
-                tracer = medium._tracer()
-                if tracer is not None:
-                    tracer.event(
+                if probe is not None:
+                    probe.event(
                         "phy.defer", sender=frame.sender, attempt=attempt,
                         backoff_s=backoff, prov=frame.meta.get("prov"),
                     )
@@ -329,7 +345,7 @@ class InterferenceModel(MediumModel):
             self._air = [entry for entry in self._air if entry[1] > now]
         self.transmissions += 1
         self.airtime_total += airtime
-        tracer = medium._tracer()
+        probe = None if medium.obs is None else medium.obs.probe
         links = medium._links
         sender = frame.sender
         if unicast:
@@ -344,8 +360,8 @@ class InterferenceModel(MediumModel):
                 # The link vanished during backoff (unicast only —
                 # broadcast receivers come from the live neighbour set).
                 medium.frames_lost += 1
-                if tracer is not None:
-                    tracer.event(
+                if probe is not None:
+                    probe.event(
                         "medium.no_link", sender=sender, dst=receiver,
                         kind=frame.kind, prov=frame.meta.get("prov"),
                     )
@@ -362,24 +378,22 @@ class InterferenceModel(MediumModel):
                 medium.frames_lost += 1
                 if interferers:
                     self.collisions += 1
-                    if tracer is not None:
-                        tracer.event(
+                    if probe is not None:
+                        probe.event(
                             "phy.collision", sender=sender, dst=receiver,
                             kind=frame.kind, interferers=interferers,
                             prov=frame.meta.get("prov"),
                         )
                 else:
                     self.sinr_losses += 1
-                    if tracer is not None:
-                        tracer.event(
+                    if probe is not None:
+                        probe.event(
                             "phy.sinr_loss", sender=sender, dst=receiver,
                             kind=frame.kind, prov=frame.meta.get("prov"),
                         )
                 continue
-            # PHY verdict: delivered.  Everything after this point is the
-            # ideal path's post-loss pipeline — shard boundary capture,
-            # then the fault injector's tamper hook (corruption,
-            # duplication, reordering), then scheduled delivery.
+            # PHY verdict: delivered.  No batch: one scheduler entry per
+            # receiver is what the PHY baselines' event counts pin.
             medium._schedule_delivery(frame, receiver, props)
         # The transmission occupies the channel *after* its own receiver
         # verdicts: a frame never interferes with itself.

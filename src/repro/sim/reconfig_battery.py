@@ -63,6 +63,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.oracle import ConvergenceOracle
 from repro.core import ManetKit
 from repro.core.manetkit import PROTOCOL_REGISTRY
+from repro.obs.trace import TraceRecorder
 from repro.sim.faults import FaultPlan
 from repro.sim.mobility import RandomWaypoint
 from repro.sim.network import Simulation
@@ -269,6 +270,8 @@ class ReconfigBattery:
     def __init__(self, config: BatteryConfig) -> None:
         self.config = config
         self.sim: Optional[Simulation] = None
+        #: The trace recorder, when ``config.trace`` asked for one.
+        self.recorder: Optional[TraceRecorder] = None
         self.kits: Dict[int, ManetKit] = {}
         self.flows: List[Pair] = []
         self.monitor: Optional[_FlowMonitor] = None
@@ -348,7 +351,7 @@ class ReconfigBattery:
         for nid, position in positions.items():
             sim.node(nid).position = position
         if config.trace:
-            sim.obs.enable_tracing(capacity=config.trace_capacity)
+            self.recorder = sim.enable_tracing(capacity=config.trace_capacity)
         if config.mobility:
             self.mobility = RandomWaypoint(
                 sim.medium,
@@ -658,17 +661,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
         print(f"report written to {args.json}")
     if args.trace_jsonl:
-        from repro.obs.export import trace_event_to_dict
+        from repro.obs.export import dump_trace_jsonl
 
-        tracer = battery.sim.obs.tracer
-        with open(args.trace_jsonl, "w") as handle:
-            for event in tracer.events:
-                handle.write(
-                    json.dumps(trace_event_to_dict(event, True), sort_keys=True)
-                )
-                handle.write("\n")
+        dump_trace_jsonl(battery.recorder, args.trace_jsonl, deterministic=True)
         print(f"trace written to {args.trace_jsonl} "
-              f"({len(tracer.events)} records)")
+              f"({len(battery.recorder.events)} records)")
     return 0 if report.all_converged else 1
 
 

@@ -2,11 +2,11 @@
 
 Usage (what CI runs)::
 
-    python tools/bench_check.py                     # compare, exit 1 on regression
-    python tools/bench_check.py --tolerance 0.25
-    python tools/bench_check.py --update            # bless current results
-    python tools/bench_check.py --history           # also append history.jsonl
-    python tools/bench_check.py --trend 10          # report from history.jsonl
+    python -m repro.tools.bench_check               # compare, exit 1 on regression
+    python -m repro.tools.bench_check --tolerance 0.25
+    python -m repro.tools.bench_check --update      # bless current results
+    python -m repro.tools.bench_check --history     # also append history.jsonl
+    python -m repro.tools.bench_check --trend 10    # report from history.jsonl
 
 ``--history [PATH]`` appends one JSON line per gate run — timestamp,
 commit sha (``GITHUB_SHA`` when set), tolerance, and every metric's

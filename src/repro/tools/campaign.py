@@ -37,7 +37,7 @@ Design contract (enforced by ``tests/tools/test_campaign.py`` and the
   ``runs.jsonl`` (one record per run) plus a merged ``summary.json`` with
   percentiles via :func:`repro.obs.summary.summarize_runs`, and
   ``--emit-bench BENCH_campaign.json`` compatible with
-  ``tools/bench_check.py``.
+  ``repro.tools.bench_check``.
 
 See ``docs/campaigns.md`` for the spec format and worked examples.
 """
@@ -561,7 +561,7 @@ class CampaignRunner:
 
 
 def emit_bench(result: CampaignResult, path: PathLike) -> pathlib.Path:
-    """Write a ``BENCH_<name>.json`` for ``tools/bench_check.py``.
+    """Write a ``BENCH_<name>.json`` for ``repro.tools.bench_check``.
 
     Gated metrics are the cross-machine-deterministic sweep aggregates
     (run counts, summed control overhead, mean delivery); wall-clock

@@ -14,9 +14,10 @@ Regenerate (only when the trace format itself legitimately changes)::
 
     PYTHONPATH=src python -m repro.tools.golden_replay --update
 
-Notes on determinism: the scenario arms only the *observability* tracer
-(``sim.obs.enable_tracing()``), not the scheduler's dispatch spans — the
-refactor deliberately changes how many scheduler callbacks one broadcast
+Notes on determinism: the scenario detaches the scheduler from the
+simulation's observability context (``sim.scheduler.obs = None``) before
+arming the tracer, so dispatch spans stay dark — the refactor
+deliberately changes how many scheduler callbacks one broadcast
 enqueues, which is invisible to every traced subsystem but would show up
 as ``sched.dispatch`` span counts.  Everything else (medium, kernel
 table, data plane, unit handlers, fault injection) is recorded.
@@ -99,15 +100,22 @@ RECONFIG_SWITCHES: Tuple[Tuple[float, str, str], ...] = (
 )
 
 
-def run_reconfig_scenario(seed: int = RECONFIG_SEED) -> bytes:
-    """The reconfiguration cell; returns deterministic JSONL."""
-    from repro.core.manetkit import PROTOCOL_REGISTRY
-
+def _traced_chain(seed: int):
+    """The 5-node chain, traced, with the scheduler's dispatch spans dark
+    (see the module docstring for why)."""
     sim = Simulation(seed=seed)
     sim.add_nodes(5)
     ids = sim.node_ids()
     sim.topology.apply(topology.linear_chain(ids))
-    tracer = sim.obs.enable_tracing()
+    sim.scheduler.obs = None
+    return sim, ids, sim.enable_tracing()
+
+
+def run_reconfig_scenario(seed: int = RECONFIG_SEED) -> bytes:
+    """The reconfiguration cell; returns deterministic JSONL."""
+    from repro.core.manetkit import PROTOCOL_REGISTRY
+
+    sim, ids, tracer = _traced_chain(seed)
     kits: Dict[int, ManetKit] = {}
     for node_id in ids:
         kit = ManetKit(sim.node(node_id))
@@ -130,13 +138,7 @@ def run_reconfig_scenario(seed: int = RECONFIG_SEED) -> bytes:
 
 def run_scenario(protocol: str, seed: int) -> bytes:
     """One seeded cell of the golden matrix; returns deterministic JSONL."""
-    sim = Simulation(seed=seed)
-    sim.add_nodes(5)
-    ids = sim.node_ids()
-    sim.topology.apply(topology.linear_chain(ids))
-    # Obs tracer only — see the module docstring for why the scheduler's
-    # dispatch spans stay dark.
-    tracer = sim.obs.enable_tracing()
+    sim, ids, tracer = _traced_chain(seed)
     kits: Dict[int, ManetKit] = {}
     for node_id in ids:
         kit = ManetKit(sim.node(node_id))

@@ -106,12 +106,10 @@ class Scheduler:
         self.heap_scheduled = 0
         self.cancelled_purged = 0
         self.heap_compactions = 0
-        #: Optional :class:`repro.obs.trace.TraceRecorder`; when set (and
-        #: enabled) every dispatched callback is recorded as a trace event.
-        self.tracer = None
-        #: Optional :class:`repro.obs.profile.Profiler`; when set, every
-        #: dispatched callback runs inside a ``sched.dispatch`` frame.
-        self.profiler = None
+        #: Optional :class:`repro.obs.Observability`; while its probe is
+        #: live every dispatched callback runs inside a ``sched.dispatch``
+        #: profiler frame + trace span.
+        self.obs = None
 
     # -- scheduling -------------------------------------------------------
 
@@ -187,25 +185,13 @@ class Scheduler:
         call._owner = None
         self.clock.set_time(call.when)
         self._executed += 1
-        tracer = self.tracer
-        profiler = self.profiler
-        if profiler is None:
-            if tracer is not None and tracer.enabled:
-                with tracer.span("sched.dispatch", callback=callback_name(call.callback)):
-                    call.callback(*call.args)
-                return True
+        probe = None if self.obs is None else self.obs.probe
+        if probe is None:
             call.callback(*call.args)
             return True
         name = callback_name(call.callback)
-        profiler.push2("sched.dispatch", name)
-        try:
-            if tracer is not None and tracer.enabled:
-                with tracer.span("sched.dispatch", callback=name):
-                    call.callback(*call.args)
-            else:
-                call.callback(*call.args)
-        finally:
-            profiler.pop()
+        with probe.span("sched.dispatch", name, callback=name):
+            call.callback(*call.args)
         return True
 
     def run_until(

@@ -94,6 +94,22 @@ class TestRouting:
         assert delivered == 2
         assert len(first.received) == 1 and len(second.received) == 1
 
+    def test_route_observer_sees_each_routing_until_removed(self, harness):
+        provider = harness.add(RecordingUnit("p", provided=["TC_OUT"]))
+        harness.add(RecordingUnit("c1", required=["TC_OUT"]))
+        harness.add(RecordingUnit("c2", required=["TC_OUT"]))
+        seen = []
+
+        def observer(source, event, consumers):
+            seen.append((source, event.etype.name, consumers))
+
+        harness.manager.add_route_observer(observer)
+        provider.emit("TC_OUT")
+        assert seen == [("p", "TC_OUT", ["c1", "c2"])]
+        harness.manager.remove_route_observer(observer)
+        provider.emit("TC_OUT")
+        assert len(seen) == 1
+
     def test_loop_avoidance_excludes_source(self, harness):
         both = harness.add(
             RecordingUnit("both", required=["TC_OUT"], provided=["TC_OUT"])

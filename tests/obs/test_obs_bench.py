@@ -1,4 +1,4 @@
-"""BENCH emitter and the regression comparator behind tools/bench_check.py."""
+"""BENCH emitter and the regression comparator behind repro.tools.bench_check."""
 
 import pytest
 

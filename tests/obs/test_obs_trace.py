@@ -1,5 +1,7 @@
 """Trace recorder: span nesting, gating, capacity, determinism."""
 
+import pytest
+
 import repro.protocols  # noqa: F401  (registers protocol builders)
 from repro.core import ManetKit
 from repro.obs.trace import TraceRecorder, callback_name
@@ -99,14 +101,19 @@ class TestCallbackName:
         assert name == "Widget"
 
 
-def _traced_dymo_run(seed):
-    """A small seeded DYMO run with tracing on; returns the recorder."""
+def _dymo_chain(seed=4):
     sim = Simulation(seed=seed)
     sim.add_nodes(3)
     ids = sim.node_ids()
     sim.topology.apply(topology.linear_chain(ids))
     for node_id in ids:
         ManetKit(sim.node(node_id)).load_protocol("dymo")
+    return sim, ids
+
+
+def _traced_dymo_run(seed):
+    """A small seeded DYMO run with tracing on; returns the recorder."""
+    sim, ids = _dymo_chain(seed)
     tracer = sim.enable_tracing()
     sim.run(1.0)
     sim.node(ids[0]).send_data(ids[-1], b"probe")
@@ -130,3 +137,60 @@ class TestDeterminism:
             event.t_wall += 123.0
             event.dt_wall += 9.0
         assert rec.signature() == before
+
+
+#: One record per instrumented layer: scheduler, medium, node, CF unit.
+TRACED_SITES = {"sched.dispatch", "medium.broadcast", "node.data_send", "unit.process"}
+PROFILED_SITES = {"sched.dispatch", "medium.deliver", "unit.process"}
+
+
+class TestProbeSeam:
+    """Every instrumented site reads the one ``Observability.probe``."""
+
+    def test_direct_disable_silences_every_site(self):
+        # Regression: ``sim.obs.disable_profiling()`` (not the Simulation
+        # wrapper) used to leave the scheduler's own profiler handle
+        # armed, so ``sched.dispatch`` frames kept accumulating.
+        sim, ids = _dymo_chain()
+        profiler = sim.enable_profiling()
+        tracer = sim.enable_tracing()
+        sim.run(1.0)
+        assert profiler.stats and len(tracer)
+        sim.obs.disable_profiling()
+        sim.obs.disable_tracing()
+        frames = {key: list(stat) for key, stat in profiler.stats.items()}
+        records = len(tracer)
+        sim.node(ids[0]).send_data(ids[-1], b"probe")
+        sim.run(2.0)
+        assert profiler.stats == frames
+        assert len(tracer) == records
+
+    @pytest.mark.parametrize("order", [
+        "T+ P+ T- P- P+ T+",
+        "P+ P- T+ T- T+ P+ T-",
+        "T+ T- P+ T+ P-",
+    ])
+    def test_sites_agree_whatever_the_toggle_order(self, order):
+        sim, ids = _dymo_chain()
+        obs = sim.obs
+        toggles = {
+            "T+": obs.enable_tracing, "T-": obs.disable_tracing,
+            "P+": obs.enable_profiling, "P-": obs.disable_profiling,
+        }
+        for step in order.split():
+            toggles[step]()
+            assert (obs.probe is None) == (not obs.tracing and not obs.profiling)
+            tracer, profiler = obs.tracer, obs.profiler
+            records = len(tracer) if tracer is not None else 0
+            if profiler is not None:
+                profiler.clear()
+            sim.node(ids[0]).send_data(ids[-1], b"probe")
+            sim.run(1.0)
+            traced = {event.name for event in tracer.events[records:]} if tracer else set()
+            assert traced & TRACED_SITES == (TRACED_SITES if obs.tracing else set())
+            if obs.profiling:
+                framed = {
+                    label.split(":", 1)[0]
+                    for _phase, stack in profiler.stats for label in stack
+                }
+                assert PROFILED_SITES <= framed

@@ -99,14 +99,6 @@ class TestMedium:
         assert box == []
         assert med.frames_lost == 1
 
-    def test_topology_observer(self, medium):
-        med, _ = medium
-        calls = []
-        med.add_topology_observer(lambda: calls.append(1))
-        med.set_link(1, 2)
-        med.clear_links()
-        assert len(calls) == 2
-
     def test_link_quality(self, medium):
         med, _ = medium
         med.set_link(1, 2, loss=0.25)

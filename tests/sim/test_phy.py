@@ -134,19 +134,20 @@ class TestIdealModelInstall:
         assert self.scenario(install=False) == self.scenario(install=True)
 
     def test_install_keeps_phy_none(self):
+        """``medium.model`` is the one dispatch handle, for every model."""
         med, _ = make_medium()
-        assert med.phy is None and med.model.name == "ideal"
-        med.install_model(IdealModel())
-        assert med.phy is None
+        assert isinstance(med.model, IdealModel)
+        ideal = med.install_model(IdealModel())
+        assert med.model is ideal
         model = med.install_model(InterferenceModel(SLOW))
-        assert med.phy is model and med.model is model
+        assert med.model is model
 
     def test_simulation_phy_ideal_is_default(self):
-        assert Simulation(seed=1).medium.phy is None
-        assert Simulation(seed=1, phy="ideal").medium.phy is None
+        assert isinstance(Simulation(seed=1).medium.model, IdealModel)
+        assert isinstance(Simulation(seed=1, phy="ideal").medium.model, IdealModel)
         sim = Simulation(seed=1, phy="802.11g")
-        assert isinstance(sim.medium.phy, InterferenceModel)
-        assert sim.phy_model is sim.medium.phy
+        assert isinstance(sim.medium.model, InterferenceModel)
+        assert sim.phy_model is sim.medium.model
 
 
 class TestCSMAContention:
@@ -311,6 +312,75 @@ class TestFaultComposition:
         med.broadcast(Frame("control", b"x", sender=1))
         sched.run_until_idle()
         assert boxes[2] == [] and med.frames_lost == 1
+
+
+class _Boundary:
+    """Stand-in shard boundary: captures frames for its remote set."""
+
+    def __init__(self, remote):
+        self.remote = set(remote)
+        self.captured = []
+
+    def capture(self, frame, receiver, props):
+        self.captured.append(receiver)
+
+
+class TestPipelineOrder:
+    """loss/PHY verdict → boundary capture → tamper → schedule, once.
+
+    Sender 1 reaches six receivers, one per pipeline outcome: 2 is
+    rolled away (link loss 1.0), 3 is boundary-captured, 4 and 6 are
+    plain deliveries, 5 is tampered into one copy at the link latency,
+    7 is tampered into nothing.
+    """
+
+    @pytest.mark.parametrize("primitive", ["broadcast", "unicast"])
+    @pytest.mark.parametrize(
+        "make_model", [IdealModel, lambda: InterferenceModel(NULL_PROFILE, seed=1)],
+        ids=["ideal", "interference-null"],
+    )
+    def test_stage_order_and_counters(self, make_model, primitive):
+        med, sched = make_medium(make_model())
+        arrivals = []
+        for node in range(1, 8):
+            med.register_node(node, lambda frame, node=node: arrivals.append(node))
+            if node > 1:
+                med.set_link(1, node, loss=1.0 if node == 2 else 0.0)
+        med.boundary = _Boundary({3})
+        tampered = []
+
+        def tamper(frame, receiver, props):
+            tampered.append(receiver)
+            if receiver == 5:
+                return [(props.latency, frame)]
+            return [] if receiver == 7 else None
+
+        med.tamper = tamper
+        if primitive == "broadcast":
+            assert med.broadcast(Frame("control", b"x", sender=1)) >= 4
+        else:
+            sent = [
+                med.unicast(Frame("control", b"x", sender=1, link_dst=node))
+                for node in range(2, 8)
+            ]
+            assert sent[1:5] == [True] * 4  # captured and scheduled alike
+        sched.run_until_idle()
+
+        assert med.boundary.captured == [3]   # a rolled-away frame never got here
+        assert tampered == [4, 5, 6, 7]       # ...nor did a dropped or captured one
+        # The tampered copy sealed the open batch, so 6 was not delivered
+        # ahead of 5 even though it shares 4's latency.
+        assert arrivals == [4, 5, 6]
+        batched = primitive == "broadcast" and isinstance(med.model, IdealModel)
+        assert med.batches_scheduled == (2 if batched else 0)
+        assert med.frames_sent == (1 if primitive == "broadcast" else 6)
+        assert med.frames_tampered == 2
+        assert med.frames_lost == 2
+        assert med.frames_delivered == 3
+        receivers = 6
+        assert receivers == (
+            med.frames_lost + len(med.boundary.captured) + med.frames_delivered
+        )
 
 
 class TestSimulationIntegration:

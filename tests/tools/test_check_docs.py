@@ -118,10 +118,10 @@ class TestFlagCheck:
     def test_script_path_spelling(self, cd):
         parsers = cd._known_parsers()
         assert cd.check_flags_in_line(
-            "python tools/bench_check.py --update", parsers
+            "python tools/check_docs.py --no-exec", parsers
         ) == []
         errors = cd.check_flags_in_line(
-            "python tools/bench_check.py --blorp", parsers
+            "python tools/check_docs.py --blorp", parsers
         )
         assert errors
 

@@ -139,7 +139,6 @@ def _known_parsers() -> Dict[str, Set[str]]:
         "manetkit-scenario": scenario_opts,
         "repro.tools.campaign": campaign_opts,
         "repro.tools.bench_check": bench_opts,
-        "tools/bench_check.py": bench_opts,
         "repro.tools.traceview": traceview_opts,
         "repro.tools.profview": profview_opts,
         "repro.sim.reconfig_battery": battery_opts,
