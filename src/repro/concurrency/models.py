@@ -20,6 +20,7 @@ Correctness obligations shared by every model (paper section 4.4):
 from __future__ import annotations
 
 import threading
+import time
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Any, Deque, Dict, Tuple
@@ -54,15 +55,31 @@ class ConcurrencyModel(ABC):
             return self.dispatched - self.processed
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Wait until every dispatched event has been processed."""
-        self._pre_drain()
-        with self._idle:
-            return self._idle.wait_for(
-                lambda: self.processed == self.dispatched, timeout
-            )
+        """Wait until every dispatched event has been processed.
+
+        Handlers may dispatch new events while the drain waits; a model
+        that buffers them is flushed again until it is idle with nothing
+        buffered.  Returns ``False`` if ``timeout`` seconds pass first.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            self._pre_drain()
+            with self._idle:
+                self._idle.wait_for(
+                    lambda: self.processed == self.dispatched or self._buffered(),
+                    max(0.0, deadline - time.monotonic()),
+                )
+                if self.processed == self.dispatched:
+                    return True
+            if time.monotonic() >= deadline:
+                return False
 
     def _pre_drain(self) -> None:
         """Hook for models that buffer events (flush before waiting)."""
+
+    def _buffered(self) -> bool:
+        """Whether events wait in a buffer that only a flush releases."""
+        return False
 
     def _run(self, unit: Any, event: Event) -> None:
         """Process one event under the unit's critical section."""
@@ -168,6 +185,9 @@ class ThreadPerNMessages(ThreadPerMessage):
         for unit, batch in flushing:
             self._spawn_batch(unit, batch)
 
+    def _buffered(self) -> bool:
+        return bool(self._pending)
+
     def _spawn_batch(self, unit: Any, batch: Deque[Event]) -> None:
         with self._registry_lock:
             order_lock = self._order_locks.setdefault(id(unit), threading.Lock())
@@ -176,6 +196,10 @@ class ThreadPerNMessages(ThreadPerMessage):
             with order_lock:
                 for event in batch:
                     self._run(unit, event)
+            # The batch may have buffered new events; wake a waiting
+            # drain so it flushes them.
+            with self._idle:
+                self._idle.notify_all()
 
         threading.Thread(target=shepherd, daemon=True).start()
 

@@ -111,11 +111,19 @@ class FrameworkManager(ComponentFramework):
                 dedicated.shutdown()
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Wait until every in-flight event has been processed."""
-        done = self.model.drain(timeout)
-        for dedicated in self._dedicated.values():
-            done = dedicated.drain(timeout) and done
-        return done
+        """Wait until every in-flight event has been processed.
+
+        Raises :class:`TimeoutError`, naming the model and how many
+        events it still holds, if any model fails to drain in
+        ``timeout`` seconds.
+        """
+        for model in (self.model, *self._dedicated.values()):
+            if not model.drain(timeout):
+                raise TimeoutError(
+                    f"{model.model_name} did not drain within {timeout}s: "
+                    f"{model.in_flight} event(s) in flight"
+                )
+        return True
 
     def shutdown(self) -> None:
         self.model.shutdown()

@@ -24,11 +24,6 @@ package is the structured substrate for it:
 * :mod:`repro.obs.summary` — cross-run merging: reduces many scenario
   result dicts into one percentile summary (the campaign runner's merged
   report);
-* :mod:`repro.obs.merge` — cross-shard merging: interleaves per-shard
-  traces (disjoint span/prov id bands keep causal links intact) and sums
-  per-shard metrics snapshots, so ``traceview``, ``CausalGraph`` and the
-  BENCH exporters work unchanged on sharded runs
-  (:mod:`repro.sim.sharded`);
 * :mod:`repro.obs.probe` — the probe seam: the one handle
   (:attr:`Observability.probe`) through which every instrumented site
   reaches the recorder and the profiler.
@@ -43,7 +38,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.obs.merge import merge_metrics_snapshots, merge_profiles, merge_trace_events
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.probe import Probe
 from repro.obs.profile import Profiler
@@ -142,8 +136,5 @@ __all__ = [
     "Profiler",
     "TraceRecorder",
     "TraceEvent",
-    "merge_metrics_snapshots",
-    "merge_profiles",
-    "merge_trace_events",
     "summarize_runs",
 ]

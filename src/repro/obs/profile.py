@@ -37,9 +37,7 @@ and never enters this module (enforced by the zero-allocation guard in
 
 Offline consumers (:mod:`repro.tools.profview`) render a snapshot as a
 collapsed-stack flamegraph (``flamegraph.pl`` / speedscope compatible),
-a top-N hot-spot table, or a Chrome trace-event view; sharded runs
-merge per-shard snapshots with :func:`merge_profiles` (re-exported via
-:mod:`repro.obs.merge`).
+a top-N hot-spot table, or a Chrome trace-event view.
 """
 
 from __future__ import annotations
@@ -235,8 +233,8 @@ def deterministic_profile(profile: dict) -> dict:
     """Copy of a snapshot with every wall figure zeroed.
 
     The post-hoc analogue of ``Profiler.snapshot(deterministic=True)``
-    for snapshots that already left the profiler (e.g. per-shard
-    reports), so library-path file outputs stay byte-reproducible.
+    for snapshots that already left the profiler (e.g. a scenario
+    result's ``profile``), so library-path file outputs stay byte-reproducible.
     """
     return {
         "schema": profile.get("schema", PROFILE_SCHEMA),
@@ -292,37 +290,6 @@ def validate_profile(profile: dict) -> dict:
     if not isinstance(profile.get("stacks"), list):
         raise ValueError("profile snapshot missing 'stacks' list")
     return profile
-
-
-def merge_profiles(profiles: Sequence[dict]) -> dict:
-    """Merge per-shard (or per-run) snapshots into one.
-
-    Counts and self-wall sum per ``(phase, stack)``; phase windows sum
-    per phase.  The result is a normal snapshot, so every exporter and
-    ``profview`` work unchanged on merged profiles.
-    """
-    phase_wall: Dict[str, float] = {}
-    stats: Dict[Tuple[str, Tuple[str, ...]], List] = {}
-    for profile in profiles:
-        validate_profile(profile)
-        for name, info in profile.get("phases", {}).items():
-            phase_wall[name] = phase_wall.get(name, 0.0) + float(info.get("wall_s", 0.0))
-        for entry in profile["stacks"]:
-            key = (entry.get("phase", ""), tuple(entry["stack"]))
-            stat = stats.get(key)
-            if stat is None:
-                stats[key] = [int(entry["count"]), float(entry.get("wall_s", 0.0))]
-            else:
-                stat[0] += int(entry["count"])
-                stat[1] += float(entry.get("wall_s", 0.0))
-    stacks = [
-        {"phase": phase, "stack": list(path), "count": stat[0], "wall_s": stat[1]}
-        for (phase, path), stat in sorted(stats.items())
-    ]
-    phases = {
-        name: {"wall_s": wall} for name, wall in sorted(phase_wall.items())
-    }
-    return {"schema": PROFILE_SCHEMA, "phases": phases, "stacks": stacks}
 
 
 def attribution(profile: dict) -> dict:
@@ -575,7 +542,6 @@ __all__ = [
     "write_profile",
     "load_profile",
     "validate_profile",
-    "merge_profiles",
     "attribution",
     "summary_counts",
     "pick_weight",

@@ -115,18 +115,6 @@ class TraceRecorder:
         #: ``cause`` attribute.
         self.cause = 0
         self._next_prov = 0
-        #: Offset applied to every minted span and provenance id.  A
-        #: sharded run gives each shard a disjoint id band (shard 0 keeps
-        #: base 0, so the single-process path mints the same ids as
-        #: always) and merged traces keep ``prov``/``cause``/``span``
-        #: links unambiguous across shards.
-        self.id_base = 0
-
-    def set_id_base(self, base: int) -> None:
-        """Reserve a disjoint span/provenance id band for this recorder."""
-        if self._next_span or self._next_prov:
-            raise ValueError("id base must be set before any id is minted")
-        self.id_base = int(base)
 
     # -- recording ----------------------------------------------------------
 
@@ -143,7 +131,7 @@ class TraceRecorder:
     def new_provenance(self) -> int:
         """Mint the next provenance id (deterministic: pure counter)."""
         self._next_prov += 1
-        return self.id_base + self._next_prov
+        return self._next_prov
 
     @property
     def provenance_count(self) -> int:
@@ -163,7 +151,7 @@ class TraceRecorder:
 
     def _begin(self, name: str, attrs: Dict[str, Any]) -> int:
         self._next_span += 1
-        span_id = self.id_base + self._next_span
+        span_id = self._next_span
         self._append("begin", name, span_id, attrs)
         self._stack.append(span_id)
         return span_id

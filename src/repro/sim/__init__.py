@@ -7,7 +7,7 @@ tables and Netfilter hooks (paper section 6) — with a deterministic
 simulation:
 
 * :mod:`repro.sim.medium` — the wireless medium: a connectivity relation
-  with per-link latency, loss and quality; broadcast and unicast delivery
+  with per-link latency and loss; broadcast and unicast delivery
   with optional link-layer feedback;
 * :mod:`repro.sim.phy` — pluggable medium models, the verdict stage of
   the medium's one delivery pipeline: the default
@@ -30,10 +30,7 @@ simulation:
   Gilbert-Elliott loss bursts, crash/restart, corruption/duplication/
   reordering, partition/heal) replayed by a
   :class:`~repro.sim.faults.FaultInjector`;
-* :mod:`repro.sim.stats` — delivery/overhead/latency accounting;
-* :mod:`repro.sim.sharded` — one scenario partitioned across worker
-  processes under conservative epoch-barrier time synchronisation
-  (:class:`~repro.sim.sharded.ShardedSimulation`).
+* :mod:`repro.sim.stats` — delivery/overhead/latency accounting.
 """
 
 from repro.sim.medium import BROADCAST, Frame, WirelessMedium
@@ -49,13 +46,10 @@ from repro.sim.phy import (
 from repro.sim.kernel_table import DataPacket, KernelRoute, KernelRoutingTable
 from repro.sim.network import Simulation
 from repro.sim.faults import FaultInjector, FaultPlan, FaultStep
-from repro.sim.sharded import ShardedSimulation, run_sharded_scenario
 from repro.sim.stats import NetworkStats
 from repro.sim import topology, mobility
 
 __all__ = [
-    "ShardedSimulation",
-    "run_sharded_scenario",
     "BROADCAST",
     "Frame",
     "WirelessMedium",

@@ -1,7 +1,7 @@
 """The simulated wireless medium.
 
 The medium is a directed connectivity relation between node ids with
-per-link properties (latency, loss probability, quality).  It supports the
+per-link properties (latency, loss probability).  It supports the
 two primitives a MANET link layer offers:
 
 * **broadcast** — deliver a frame to every current neighbour of the sender
@@ -20,8 +20,8 @@ Every transmission takes one path: the prologue in
 radio reaches (:class:`~repro.sim.phy.IdealModel`: per-link scalar loss;
 :class:`~repro.sim.phy.InterferenceModel`: CSMA contention, SINR-style
 interference, 802.11 link profiles), and every survivor goes through
-:meth:`WirelessMedium._schedule_delivery` (shard boundary → fault tamper
-→ scheduler).  Install a model via :meth:`WirelessMedium.install_model`.
+:meth:`WirelessMedium._schedule_delivery` (fault tamper → scheduler).
+Install a model via :meth:`WirelessMedium.install_model`.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class Frame:
 class LinkProperties:
     latency: float = DEFAULT_LATENCY
     loss: float = DEFAULT_LOSS
-    quality: float = 1.0
 
 
 class WirelessMedium:
@@ -90,13 +89,6 @@ class WirelessMedium:
         self.tamper: Optional[
             Callable[[Frame, int, LinkProperties], Optional[List[Tuple[float, Frame]]]]
         ] = None
-        #: Shard-boundary proxy (see :mod:`repro.sim.sharded`): when set,
-        #: frames addressed to a receiver in ``boundary.remote`` are
-        #: captured — serialized for delivery into the peer shard's next
-        #: epoch — instead of being scheduled locally.  ``None`` on the
-        #: single-process path, which therefore pays one attribute load
-        #: per surviving receiver and nothing else.
-        self.boundary = None
         #: The installed :class:`~repro.sim.phy.MediumModel`: decides,
         #: per transmission, which receivers the radio reaches.
         self.model: MediumModel = IdealModel()
@@ -144,14 +136,13 @@ class WirelessMedium:
         up: bool = True,
         latency: float = DEFAULT_LATENCY,
         loss: float = DEFAULT_LOSS,
-        quality: float = 1.0,
         symmetric: bool = True,
     ) -> None:
         """Install or tear down the link ``a -> b`` (and back if symmetric)."""
         pairs = [(a, b), (b, a)] if symmetric else [(a, b)]
         for pair in pairs:
             if up:
-                self._links[pair] = LinkProperties(latency, loss, quality)
+                self._links[pair] = LinkProperties(latency, loss)
             else:
                 self._links.pop(pair, None)
         self._neighbor_cache.clear()
@@ -187,13 +178,6 @@ class WirelessMedium:
 
     def link_properties(self, a: int, b: int) -> Optional[LinkProperties]:
         return self._links.get((a, b))
-
-    def link_quality(self, a: int, b: int) -> float:
-        """Delivered fraction for the link (0.0 when down)."""
-        props = self._links.get((a, b))
-        if props is None:
-            return 0.0
-        return props.quality * (1.0 - props.loss)
 
     def edges(self) -> Set[Tuple[int, int]]:
         return set(self._links)
@@ -275,24 +259,18 @@ class WirelessMedium:
         props: LinkProperties,
         batches: Optional[Dict[float, List[int]]] = None,
     ) -> bool:
-        """Post-verdict pipeline: boundary capture → tamper → delivery.
+        """Post-verdict pipeline: tamper → delivery.
 
         Every model hands each receiver that survived its loss/PHY
-        verdict to this one method, so shard capture and fault injection
-        (corruption/duplication/reordering windows) compose identically
-        with all of them: neither hook ever sees a frame the radio
-        dropped.  Returns whether anything was scheduled or captured.
+        verdict to this one method, so fault injection (corruption/
+        duplication/reordering windows) composes identically with all of
+        them: the tamper hook never sees a frame the radio dropped.
+        Returns whether anything was scheduled.
 
         ``batches`` (latency → receiver list, owned by one broadcast)
         opts the caller into shared per-latency scheduler entries;
         without it each receiver gets its own entry.
         """
-        boundary = self.boundary
-        if boundary is not None and receiver_id in boundary.remote:
-            # Cross-shard hop: hand the frame to the boundary proxy
-            # (it carries latency + prov to the peer shard's epoch).
-            boundary.capture(frame, receiver_id, props)
-            return True
         tamper = self.tamper
         if tamper is not None:
             deliveries = tamper(frame, receiver_id, props)

@@ -91,9 +91,8 @@ class Simulation:
         self._drain_hooks: List[Callable[[], None]] = []
         self.flows: List[CBRFlow] = []
         #: Sticky: set once any run loop trips its ``max_events`` cap with
-        #: work still queued.  Surfaced per shard in merged sharded
-        #: summaries so a silently capped shard cannot masquerade as a
-        #: complete run.
+        #: work still queued, so a silently capped run cannot masquerade
+        #: as a complete one.
         self.truncated = False
 
     # -- node management -----------------------------------------------------
@@ -215,13 +214,12 @@ class Simulation:
         self,
         deadline: float,
         max_events: Optional[int] = 2_000_000,
-        inclusive: bool = True,
     ) -> int:
-        """Advance to an absolute deadline — the sharded-epoch seam.
+        """Advance to an absolute deadline; events stamped exactly at
+        ``deadline`` run.
 
-        ``inclusive=False`` leaves events stamped exactly at ``deadline``
-        queued (a shard's non-final epochs use this so barrier-straddling
-        events fire on the same side as in an unsharded run).  When
+        Slicing a run into consecutive ``run_until`` calls gives the
+        same result as one call to the last deadline.  When
         ``max_events`` trips with work still queued, the clock is NOT
         jumped over the stranded events (doing so used to poison the
         scheduler: the next ``step`` would try to move the clock
@@ -233,7 +231,7 @@ class Simulation:
             upcoming = self.scheduler.next_event_time()
             if upcoming is None:
                 break
-            if (upcoming > deadline) if inclusive else (upcoming >= deadline):
+            if upcoming > deadline:
                 break
             if max_events is not None and executed >= max_events:
                 truncated = True

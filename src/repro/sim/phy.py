@@ -28,9 +28,8 @@ the model decides who the radio reaches, and every survivor goes through
     every receiver that can hear the sender.  Each concurrent audible
     transmission multiplies a receiver's survival probability by
     ``(1 - interference_loss)``;
-  - **modulation-dependent loss** — the profile's ``loss_curve`` maps
-    degraded link quality to extra loss (OFDM rates collapse early,
-    DSSS and the 802.11p half-clocked PHY degrade gracefully).
+  - **residual loss** — every receiver also pays the profile's
+    ``base_loss`` on top of the link's own scalar loss.
 
 * :data:`PROFILES` — named 802.11b / 802.11g / 802.11p parameter sets,
   selectable from the scenario CLI (``--phy``) and the campaign matrix.
@@ -63,10 +62,11 @@ class LinkProfile:
     """One named 802.11 parameter set.
 
     Times are simulated seconds, ``bitrate`` is bits per simulated
-    second.  ``loss_curve`` is a descending sequence of
-    ``(quality_threshold, extra_loss)`` pairs: the first entry whose
-    threshold is at or above the link's quality supplies the
-    modulation-dependent loss (quality 1.0 pays only ``base_loss``).
+    second.  ``base_loss`` is a per-receiver loss paid by every frame on
+    top of the link's scalar loss; ``interference_loss`` is the survival
+    penalty per concurrent audible transmission.  Neither depends on
+    distance or modulation rate: the model has no notion of link
+    quality.
     """
 
     name: str
@@ -78,52 +78,39 @@ class LinkProfile:
     preamble: float
     base_loss: float
     interference_loss: float
-    loss_curve: Tuple[Tuple[float, float], ...] = ()
 
     def airtime(self, size: int) -> float:
         """Seconds one frame of ``size`` bytes occupies the channel."""
         return self.preamble + 8.0 * max(size, 1) / self.bitrate
 
-    def quality_loss(self, quality: float) -> float:
-        """Modulation-dependent loss for a link of the given quality."""
-        if quality >= 1.0:
-            return self.base_loss
-        extra = 0.0
-        for threshold, loss in self.loss_curve:
-            if quality <= threshold:
-                extra = loss
-        return min(1.0, self.base_loss + extra)
 
-
-#: The shipped link profiles.  Slot/contention-window values follow the
-#: standards; the loss parameters are calibrated so that the three
-#: profiles produce measurably distinct delivery ratios under the fault
-#: battery (gated by ``benchmarks/baseline/BENCH_phy.json``), with the
-#: ordering the 802.11-vs-802.11p link-availability literature reports:
-#: p (robust half-clocked OFDM) > b (DSSS) > g (high-rate OFDM).
+#: The shipped link profiles.  Bitrate, slot, contention-window and
+#: preamble values follow the standards; ``base_loss`` and
+#: ``interference_loss`` are hand-set (not fitted to measurements) so
+#: that the three profiles produce measurably distinct delivery ratios
+#: under the fault battery (gated by
+#: ``benchmarks/baseline/BENCH_phy.json``), in the ordering the
+#: 802.11-vs-802.11p link-availability literature reports: p > b > g.
 PROFILES: Dict[str, LinkProfile] = {
     # DSSS: slow but robust; long slots and a wide initial window.
     "802.11b": LinkProfile(
         name="802.11b", bitrate=11e6, slot_time=20e-6,
         cw_min=31, cw_max=1023, max_deferrals=5, preamble=192e-6,
         base_loss=0.02, interference_loss=0.40,
-        loss_curve=((0.9, 0.05), (0.7, 0.15), (0.5, 0.35)),
     ),
-    # ERP-OFDM: fast, short slots, but the high-rate modulations
-    # collapse early as quality degrades and capture is poor.
+    # ERP-OFDM: fast, short slots; the highest residual and
+    # interference loss of the three.
     "802.11g": LinkProfile(
         name="802.11g", bitrate=54e6, slot_time=9e-6,
         cw_min=15, cw_max=1023, max_deferrals=5, preamble=20e-6,
         base_loss=0.05, interference_loss=0.50,
-        loss_curve=((0.9, 0.15), (0.7, 0.35), (0.5, 0.60)),
     ),
     # Vehicular OCB mode: 10 MHz half-clocked OFDM — half the rate,
-    # double the symbol guard: robust to interference and degradation.
+    # double the symbol guard; the lowest residual and interference loss.
     "802.11p": LinkProfile(
         name="802.11p", bitrate=6e6, slot_time=13e-6,
         cw_min=15, cw_max=1023, max_deferrals=5, preamble=40e-6,
         base_loss=0.01, interference_loss=0.25,
-        loss_curve=((0.9, 0.02), (0.7, 0.08), (0.5, 0.20)),
     ),
 }
 
@@ -369,9 +356,7 @@ class InterferenceModel(MediumModel):
             interferers = self._interferers(
                 medium, sender, receiver, now, now + airtime
             )
-            survival = (1.0 - props.loss) * (
-                1.0 - profile.quality_loss(props.quality)
-            )
+            survival = (1.0 - props.loss) * (1.0 - profile.base_loss)
             if interferers:
                 survival *= (1.0 - profile.interference_loss) ** interferers
             if survival < 1.0 and self.rng.random() >= survival:

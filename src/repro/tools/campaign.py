@@ -2,7 +2,7 @@
 
 The paper's evaluation (§6) is a *matrix* of runs — protocols × seeds ×
 topologies × fault plans — and so is any honest MANET comparison.  This
-module turns such a matrix into shard jobs and executes them on
+module turns such a matrix into jobs and executes them on
 shared-nothing worker processes::
 
     python -m repro.tools.campaign --spec examples/campaign_smoke.toml --workers 8

@@ -7,26 +7,22 @@ Examples::
     python -m repro.tools.profview /tmp/prof.json --top 20
     python -m repro.tools.profview /tmp/prof.json --flame /tmp/prof.folded
     python -m repro.tools.profview /tmp/prof.json --chrome /tmp/prof.chrome.json
-    python -m repro.tools.profview /tmp/prof.shard*.json --top 10
 
-Input is one or more profile snapshot files as written by
-``--profile-out`` (:func:`repro.obs.profile.write_profile`).  Several
-files — typically the per-shard profiles of a sharded run
-(:mod:`repro.sim.sharded`) — are merged with
-:func:`repro.obs.profile.merge_profiles` before rendering.
+Input is one profile snapshot file as written by ``--profile-out``
+(:func:`repro.obs.profile.write_profile`).
 
 ``--flame OUT`` writes collapsed-stack lines (one ``phase;frame;frame
 VALUE`` per distinct stack) consumable by ``flamegraph.pl`` or
 speedscope; ``--chrome OUT`` writes an *aggregate* Chrome trace-event
 view (one synthetic thread per phase, frames laid out left-heavy by
 weight — widths carry meaning, positions do not); ``--json OUT`` writes
-the (merged) snapshot back out.  ``--weight`` picks what the flamegraph
+the snapshot back out.  ``--weight`` picks what the flamegraph
 and table weigh: ``wall`` (self wall time), ``count`` (event counts), or
 ``auto`` (the default: wall, falling back to counts when every wall
 figure is zero — i.e. a deterministic snapshot such as a committed
 golden).
 
-Exit codes: 0 ok, 1 when the (merged) profile holds no frames at all,
+Exit codes: 0 ok, 1 when the profile holds no frames at all,
 2 on usage or file errors.
 """
 
@@ -43,7 +39,6 @@ from repro.obs.profile import (
     chrome_trace,
     collapsed_stacks,
     load_profile,
-    merge_profiles,
     pick_weight,
     render_top,
     summary_counts,
@@ -57,9 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyse cost-attribution profile snapshots.",
     )
     parser.add_argument(
-        "profile", nargs="+",
-        help="profile JSON file(s) (from --profile-out); several files — "
-             "e.g. per-shard profiles — are merged before rendering",
+        "profile",
+        help="profile JSON file (from --profile-out)",
     )
     parser.add_argument(
         "--top", type=int, default=None, metavar="N",
@@ -75,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--json", dest="json_out", metavar="OUT", default=None,
-        help="write the (merged) snapshot JSON to OUT",
+        help="write the snapshot JSON to OUT",
     )
     parser.add_argument(
         "--weight", choices=("auto", "wall", "count"), default="auto",
@@ -87,14 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    profiles = []
-    for path in args.profile:
-        try:
-            profiles.append(load_profile(path))
-        except (OSError, ValueError) as error:
-            print(f"error: cannot load {path!r}: {error}", file=sys.stderr)
-            return 2
-    profile = profiles[0] if len(profiles) == 1 else merge_profiles(profiles)
+    try:
+        profile = load_profile(args.profile)
+    except (OSError, ValueError) as error:
+        print(f"error: cannot load {args.profile!r}: {error}", file=sys.stderr)
+        return 2
     if not profile["stacks"]:
         print("error: profile holds no frames (was the run profiled?)",
               file=sys.stderr)

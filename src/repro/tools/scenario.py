@@ -80,8 +80,7 @@ def topology_model(
     Builds nothing — just the node ids (always ``1..N``, matching what
     :meth:`Simulation.add_nodes` would assign), the edge list and any
     node positions.  :func:`parse_topology` materialises this model into
-    a live simulation; the sharded orchestrator partitions it across
-    workers first (:mod:`repro.sim.sharded`).
+    a live simulation.
     """
     if ":" not in spec and nodes is not None:
         if spec == "grid":

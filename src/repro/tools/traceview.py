@@ -22,15 +22,10 @@ trace.  ``--chrome OUT`` writes Chrome
 trace-event JSON viewable in Perfetto or ``chrome://tracing``, one track
 per node with flow arrows following every transmission.
 
-Input is one or more trace JSONL files as written by ``--trace-jsonl``
-(plain or gzip-compressed, e.g. the committed golden replays).  Passing
-several files — typically the per-shard traces of a sharded run
-(:mod:`repro.sim.sharded`) — merges them into one globally ordered trace
-first (:func:`repro.obs.merge.merge_trace_events`); the disjoint
-per-shard id bands keep every ``prov``/``cause`` link intact, so routes
-and causal chains that cross a partition cut reconstruct exactly as in a
-single-file trace.  Exit codes: 0 ok, 1 when a requested route/chain
-cannot be reconstructed, 2 on usage or file errors.
+Input is one trace JSONL file as written by ``--trace-jsonl`` (plain or
+gzip-compressed, e.g. the committed golden replays).  Exit codes: 0 ok,
+1 when a requested route/chain cannot be reconstructed, 2 on usage or
+file errors.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from typing import List, Optional
 
 from repro.obs.causal import CausalGraph, to_chrome_trace
 from repro.obs.export import trace_event_from_dict, trace_summary
-from repro.obs.merge import merge_trace_events
 from repro.obs.trace import TraceEvent
 
 
@@ -222,10 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyse a provenance-linked trace JSONL file.",
     )
     parser.add_argument(
-        "trace", nargs="+",
-        help="trace JSONL file(s) (from --trace-jsonl; .gz accepted); "
-             "several files — e.g. per-shard traces — are merged into one "
-             "globally ordered trace before analysis",
+        "trace",
+        help="trace JSONL file (from --trace-jsonl; .gz accepted)",
     )
     parser.add_argument(
         "--route", nargs=2, type=int, metavar=("SRC", "DST"), default=None,
@@ -262,17 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    per_file = []
-    for path in args.trace:
-        try:
-            per_file.append(load_events(path))
-        except (OSError, ValueError, KeyError) as error:
-            print(f"error: cannot load {path!r}: {error}", file=sys.stderr)
-            return 2
-    if len(per_file) == 1:
-        events = per_file[0]
-    else:
-        events = merge_trace_events(per_file)
+    try:
+        events = load_events(args.trace)
+    except (OSError, ValueError, KeyError) as error:
+        print(f"error: cannot load {args.trace!r}: {error}", file=sys.stderr)
+        return 2
     graph = CausalGraph(events)
     status = 0
     ran_anything = False

@@ -1,4 +1,4 @@
-"""Reusable worker-process machinery: process pools and duplex workers.
+"""Reusable worker-process machinery: a crash-tolerant process pool.
 
 Extracted from :mod:`repro.tools.campaign` (PR 4 built it there for the
 sweep runner) so that *any* subsystem can fan work out over
@@ -12,12 +12,6 @@ shared-nothing processes with the same crash/timeout/retry semantics:
   worker that dies or exceeds ``timeout`` is retried up to ``retries``
   times, then recorded as failed; clean errors are deterministic and are
   never retried.
-
-* :class:`DuplexWorker` — a long-lived worker holding a two-way pipe,
-  for protocols that exchange many messages with one process (the
-  sharded simulation's epoch barriers in :mod:`repro.sim.sharded`).
-  Receives detect worker death and raise :class:`WorkerCrashed` instead
-  of hanging.
 
 Behavioural contract is pinned by ``tests/tools/test_workers.py`` and —
 via the campaign runner that now delegates here — by
@@ -228,92 +222,3 @@ class ProcessPool:
             self.on_tick(0, 0)
         return outcomes
 
-
-# -- long-lived duplex worker ------------------------------------------------
-
-class WorkerCrashed(RuntimeError):
-    """A duplex worker died while the parent was waiting on it."""
-
-    def __init__(self, message: str, exitcode: Optional[int] = None) -> None:
-        super().__init__(message)
-        self.exitcode = exitcode
-
-
-class DuplexWorker:
-    """A long-lived worker process with a two-way message pipe.
-
-    ``target(conn, *args)`` runs in the child and serves messages on
-    ``conn`` until told to stop (the protocol on top is the caller's —
-    see :mod:`repro.sim.sharded`).  :meth:`recv` polls so a dead worker
-    raises :class:`WorkerCrashed` (with its exit code) rather than
-    blocking the parent forever.
-    """
-
-    def __init__(
-        self,
-        target: Callable[..., None],
-        args: Tuple[Any, ...] = (),
-        name: Optional[str] = None,
-        context: Optional[multiprocessing.context.BaseContext] = None,
-    ) -> None:
-        ctx = context if context is not None else default_context()
-        self.name = name or "duplex-worker"
-        self._conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=target, args=(child_conn,) + tuple(args),
-            daemon=True, name=self.name,
-        )
-        self.process.start()
-        child_conn.close()
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def send(self, message: Any) -> None:
-        try:
-            self._conn.send(message)
-        except (BrokenPipeError, OSError) as error:
-            raise WorkerCrashed(
-                f"{self.name}: pipe closed "
-                f"(exit code {self.process.exitcode})",
-                exitcode=self.process.exitcode,
-            ) from error
-
-    def _died(self) -> WorkerCrashed:
-        # The pipe EOF can arrive before the child is reaped; join so the
-        # exit code is populated in the message.
-        self.process.join(timeout=5.0)
-        return WorkerCrashed(
-            f"{self.name}: worker died (exit code {self.process.exitcode})",
-            exitcode=self.process.exitcode,
-        )
-
-    def recv(self, poll_interval: float = 0.2) -> Any:
-        """Next message from the worker; raises if the worker died."""
-        while True:
-            try:
-                if self._conn.poll(poll_interval):
-                    return self._conn.recv()
-            except (EOFError, OSError) as error:
-                raise self._died() from error
-            if not self.process.is_alive() and not self._conn.poll():
-                raise self._died()
-
-    def request(self, message: Any) -> Any:
-        """``send`` then ``recv`` — one round of the duplex protocol."""
-        self.send(message)
-        return self.recv()
-
-    def stop(self, join_timeout: float = 10.0) -> None:
-        """Close the pipe and reap the process (terminate if needed)."""
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=join_timeout)
-        if self.process.is_alive():  # pragma: no cover - last resort
-            self.process.kill()
-            self.process.join()

@@ -198,21 +198,14 @@ class Scheduler:
         self,
         deadline: float,
         max_events: Optional[int] = None,
-        inclusive: bool = True,
     ) -> int:
         """Run events up to ``deadline``; advance the clock to it.
 
-        With ``inclusive=True`` (the default) events stamped exactly at
-        the deadline run; with ``inclusive=False`` they stay queued —
-        the mode a sharded epoch uses so that an event sitting exactly
-        on a barrier fires on the same side of it as in an unsharded
-        run (the *final* epoch of a phase is inclusive, matching
-        :meth:`run_until`'s default semantics end to end).
-
-        Returns the number of callbacks executed.  ``max_events`` is a
-        safety valve against runaway event storms; when it trips, the
-        clock is NOT advanced past the stranded events (advancing would
-        leave past-dated work that a later ``step`` could never run).
+        Events stamped exactly at the deadline run.  Returns the number
+        of callbacks executed.  ``max_events`` is a safety valve against
+        runaway event storms; when it trips, the clock is NOT advanced
+        past the stranded events (advancing would leave past-dated work
+        that a later ``step`` could never run).
         """
         executed = 0
         truncated = False
@@ -220,7 +213,7 @@ class Scheduler:
             upcoming = self.next_event_time()
             if upcoming is None:
                 break
-            if (upcoming > deadline) if inclusive else (upcoming >= deadline):
+            if upcoming > deadline:
                 break
             if max_events is not None and executed >= max_events:
                 truncated = True

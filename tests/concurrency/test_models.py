@@ -5,6 +5,7 @@ obligations — atomic handlers, per-unit FIFO order, drainability — must
 hold under real parallelism.
 """
 
+import sys
 import threading
 import time
 
@@ -176,6 +177,43 @@ class TestModelSpecifics:
             model.dispatch(unit, event)
         assert model.drain(timeout=5.0)
         assert len(unit.seen) == 4
+        model.shutdown()
+
+    def test_thread_per_n_drain_flushes_events_dispatched_while_draining(self):
+        # Each handler dispatches one follow-up to a sink, so every flushed
+        # batch leaves new partial batches behind; drain must keep flushing
+        # instead of waiting out its timeout.  Six relays and a short
+        # switch interval put more threads than cores on the accounting.
+        model = ThreadPerNMessages(n=4)
+        sink = Unit("sink")
+
+        class Relay(Unit):
+            def process_event(self, event):
+                super().process_event(event)
+                model.dispatch(sink, Event(ETYPE))
+
+        relays = [Relay(f"relay{i}") for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for relay in relays:
+                for event in events(7):
+                    model.dispatch(relay, event)
+            start = time.monotonic()
+            assert model.drain(timeout=5.0)
+            assert time.monotonic() - start < 2.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(len(relay.seen) == 7 for relay in relays)
+        assert len(sink.seen) == 42
+        assert model.in_flight == 0
+        model.shutdown()
+
+    def test_drain_timeout_returns_false(self):
+        model = ThreadPerMessage()
+        model.dispatch(Unit(delay=0.2), Event(ETYPE))
+        assert model.drain(timeout=0.05) is False
+        assert model.drain(timeout=5.0) is True
         model.shutdown()
 
     def test_thread_per_n_invalid(self):

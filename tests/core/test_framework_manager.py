@@ -281,6 +281,25 @@ class TestDedicatedThreads:
         harness.manager.set_dedicated_thread(consumer, enabled=False)
         harness.manager.shutdown()
 
+    def test_drain_timeout_raises_naming_model_and_in_flight(self, harness):
+        import time
+
+        from repro.concurrency.models import ThreadPerMessage
+
+        class SlowUnit(RecordingUnit):
+            def process_event(self, event):
+                time.sleep(0.3)
+                super().process_event(event)
+
+        provider = harness.add(RecordingUnit("p", provided=["TC_OUT"]))
+        harness.add(SlowUnit("slow", required=["TC_OUT"]))
+        harness.manager.set_model(ThreadPerMessage())
+        provider.emit("TC_OUT")
+        with pytest.raises(TimeoutError, match=r"ThreadPerMessage .* 1 event\(s\) in flight"):
+            harness.manager.drain(timeout=0.01)
+        assert harness.manager.drain(timeout=5.0)
+        harness.manager.shutdown()
+
     def test_unit_describe(self, harness):
         unit = harness.add(
             RecordingUnit(

@@ -226,6 +226,33 @@ class TestConcurrencyModelsInSimulation:
         for kit in kits.values():
             kit.manager.shutdown()
 
+    def test_thread_per_n_messages_drains_without_timeouts(self):
+        """Every per-step drain of a 4-node DYMO run completes at once.
+
+        Handlers dispatch follow-up events while a drain flushes the
+        buffered batches; those must be flushed too, not left behind
+        until the drain times out.  A short timeout makes any stranded
+        batch raise here instead of stalling the run.
+        """
+        sim, ids, kits = make_network(4, seed=106)
+        drains = []
+        for kit in kits.values():
+            kit.load_protocol("dymo")
+            kit.set_concurrency("thread-per-n-messages")
+            sim.add_drain_hook(
+                lambda kit=kit: drains.append(kit.drain(timeout=2.0))
+            )
+        got = []
+        sim.node(ids[-1]).add_app_receiver(got.append)
+        sim.run(3.0)
+        sim.node(ids[0]).send_data(ids[-1], b"batched")
+        sim.run(2.0)
+        assert [packet.payload for packet in got] == [b"batched"]
+        assert drains and all(drains)
+        for kit in kits.values():
+            assert kit.manager.model.in_flight == 0
+            kit.manager.shutdown()
+
     def test_dedicated_thread_protocol(self):
         sim, ids, kits = make_network(3, seed=107)
         for kit in kits.values():

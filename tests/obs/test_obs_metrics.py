@@ -132,8 +132,8 @@ class TestRegistry:
         """``deterministic=True`` filters every WALL_CLOCK_METRICS family.
 
         ``unit.process_seconds`` measures host wall time, so it must not
-        appear in deterministic snapshots (golden replays, sharded-merge
-        reports) — while simulated-time histograms always survive.
+        appear in deterministic snapshots (golden replays) — while
+        simulated-time histograms always survive.
         """
         from repro.obs.metrics import WALL_CLOCK_METRICS
 

@@ -7,10 +7,7 @@ The profiler's value rests on three claims, each pinned here:
   totals, and the per-phase windows partition into attributed +
   unattributed with nothing lost;
 * **counts are deterministic per seed** — two same-seed scenario runs
-  produce byte-identical deterministic snapshots, and a sharded run's
-  per-subsystem counts match the single-process run exactly for every
-  subsystem except the scheduler (cross-shard deliveries occupy their
-  own dispatch slots — the documented drift);
+  produce byte-identical deterministic snapshots;
 * **every offline view agrees with the aggregates** — collapsed stacks,
   the top-N table and the Chrome trace are pure functions of the
   snapshot and must conserve its totals.
@@ -30,12 +27,10 @@ from repro.obs.profile import (
     frame_name,
     frame_subsystem,
     load_profile,
-    merge_profiles,
     pick_weight,
     render_top,
     summary_counts,
     top_frames,
-    validate_profile,
     write_profile,
 )
 
@@ -201,13 +196,6 @@ class TestSnapshotAndMerge:
         assert det["phases"]["traffic"]["wall_s"] == 0.0
         assert det == deterministic_profile(profiler.snapshot())
 
-    def test_merge_sums_counts_walls_and_windows(self):
-        merged = merge_profiles([self._sample(1.0), self._sample(2.5)])
-        assert merged["stacks"][0]["count"] == 2
-        assert merged["stacks"][0]["wall_s"] == pytest.approx(3.5)
-        assert merged["phases"]["traffic"]["wall_s"] == pytest.approx(3.5)
-        validate_profile(merged)
-
     def test_write_load_roundtrip(self, tmp_path):
         snapshot = self._sample()
         path = write_profile(snapshot, tmp_path / "sub" / "prof.json")
@@ -371,47 +359,3 @@ class TestGoldenProfile:
         })
         assert out.read_text() == golden.read_text()
 
-
-class TestShardedEquivalence:
-    def test_sharded_counts_match_single_process(self):
-        """Per-subsystem counts match exactly, except the scheduler.
-
-        Cross-shard deliveries occupy their own scheduler dispatch slots
-        in the worker that receives them, so ``sched`` counts differ by
-        construction; every protocol-level subsystem must agree exactly.
-        """
-        from repro.sim.sharded import run_sharded_scenario
-        from repro.tools.scenario import run_scenario
-
-        options = {
-            "protocol": "olsr", "topology": "grid:3x3",
-            "duration": 5.0, "profile": True,
-        }
-        single = run_scenario(dict(options))["profile"]
-        sharded = run_sharded_scenario(dict(options), shards=2)["profile"]
-        for subsystem in ("unit", "medium", "fm", "route_calc"):
-            assert sharded["by_subsystem"].get(subsystem) == \
-                single["by_subsystem"].get(subsystem), subsystem
-        assert sharded["events"] > 0
-
-    def test_sharded_profile_files(self, tmp_path):
-        from repro.obs.profile import load_profile
-        from repro.sim.sharded import run_sharded_scenario
-
-        out = tmp_path / "prof.json"
-        run_sharded_scenario(
-            {
-                "protocol": "olsr", "topology": "chain:4", "duration": 4.0,
-                "profile": True, "profile_out": str(out),
-            },
-            shards=2,
-        )
-        merged = load_profile(out)
-        shard0 = load_profile(tmp_path / "prof.shard0.json")
-        shard1 = load_profile(tmp_path / "prof.shard1.json")
-        # Library-path files are deterministic: all walls zeroed.
-        for profile in (merged, shard0, shard1):
-            assert all(e["wall_s"] == 0.0 for e in profile["stacks"])
-        assert summary_counts(merged)["events"] == (
-            summary_counts(shard0)["events"] + summary_counts(shard1)["events"]
-        )

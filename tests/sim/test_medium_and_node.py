@@ -99,12 +99,6 @@ class TestMedium:
         assert box == []
         assert med.frames_lost == 1
 
-    def test_link_quality(self, medium):
-        med, _ = medium
-        med.set_link(1, 2, loss=0.25)
-        assert med.link_quality(1, 2) == 0.75
-        assert med.link_quality(1, 9) == 0.0
-
 
 class TestBattery:
     def test_levels_drain(self):

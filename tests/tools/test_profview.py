@@ -1,9 +1,7 @@
-"""Tests: the profview CLI — exit codes, exports, multi-file merge.
+"""Tests: the profview CLI — exit codes and exports.
 
 Like traceview, the exit codes are the interface CI consumes: 0 ok,
-1 empty profile, 2 usage/unreadable file.  The multi-file path must
-merge per-shard profiles (the ``prof.shard*.json`` files a sharded run
-writes) exactly as :func:`repro.obs.profile.merge_profiles` would.
+1 empty profile, 2 usage/unreadable file.
 """
 
 import json
@@ -118,18 +116,3 @@ class TestWeights:
         assert main([str(profile_file), "--weight", "wall"]) == 0
         assert "self ms" in capsys.readouterr().out
 
-
-class TestMultiFileMerge:
-    def test_shard_files_merge(self, tmp_path, capsys):
-        a = write_profile(sample_profile(1.0), tmp_path / "prof.shard0.json")
-        b = write_profile(sample_profile(3.0), tmp_path / "prof.shard1.json")
-        out = tmp_path / "merged.json"
-        assert main([str(a), str(b), "--json", str(out)]) == 0
-        merged = json.loads(out.read_text())
-        by_stack = {
-            tuple(e["stack"]): e for e in merged["stacks"]
-        }
-        entry = by_stack[("sched.dispatch:cb", "unit.process:olsr/TC")]
-        assert entry["count"] == 2
-        assert entry["wall_s"] == pytest.approx(2.0)  # 0.5 + 1.5
-        capsys.readouterr()

@@ -1,25 +1,16 @@
 """Behavioural contract of the extracted worker-process machinery.
 
 These pin the pool semantics the campaign runner used to own privately:
-exactly-one payload per worker, clean errors never retried, crash and
-timeout retried up to ``retries``, and the duplex worker's death
-detection.  The campaign suite covers the same behaviour end to end
-through its CLI; this file covers it at the :mod:`repro.tools.workers`
-API boundary the sharded simulation builds on.
+exactly-one payload per worker, clean errors never retried, and crash
+and timeout retried up to ``retries``.  The campaign suite covers the
+same behaviour end to end through its CLI; this file covers it at the
+:mod:`repro.tools.workers` API boundary.
 """
 
 import os
 import time
 
-import pytest
-
-from repro.tools.workers import (
-    CRASH_HOOK_EXIT,
-    DuplexWorker,
-    Job,
-    ProcessPool,
-    WorkerCrashed,
-)
+from repro.tools.workers import CRASH_HOOK_EXIT, Job, ProcessPool
 
 
 def _ok_target(conn, value):
@@ -45,16 +36,6 @@ def _always_crash_target(conn):
 def _sleep_target(conn, seconds):
     time.sleep(seconds)
     conn.send({"ok": True, "result": None})
-
-
-def _echo_server(conn):
-    while True:
-        message = conn.recv()
-        if message == "die":
-            os._exit(CRASH_HOOK_EXIT)
-        if message == "stop":
-            return
-        conn.send({"echo": message})
 
 
 class TestProcessPool:
@@ -125,24 +106,3 @@ class TestProcessPool:
         pool.run([Job(key="k", args=(1,))])
         assert ticks[-1] == (0, 0)
 
-
-class TestDuplexWorker:
-    def test_request_round_trips(self):
-        worker = DuplexWorker(_echo_server, name="echo")
-        try:
-            assert worker.request("hello") == {"echo": "hello"}
-            assert worker.request({"n": 3}) == {"echo": {"n": 3}}
-            worker.send("stop")
-        finally:
-            worker.stop()
-        assert not worker.alive
-
-    def test_dead_worker_raises_instead_of_hanging(self):
-        worker = DuplexWorker(_echo_server, name="mortal")
-        try:
-            worker.send("die")
-            with pytest.raises(WorkerCrashed) as info:
-                worker.recv(poll_interval=0.05)
-            assert info.value.exitcode == CRASH_HOOK_EXIT
-        finally:
-            worker.stop()
